@@ -18,11 +18,16 @@
 // process one simulated packet with zero steady-state heap allocations:
 //
 //   - Event cost. The engine (internal/sim) dispatches events from a
-//     hand-specialized 4-ary min-heap over a flat []event slice: one
-//     schedule+dispatch cycle is ~150 ns with 0 allocs/op
-//     (BenchmarkEngineSchedule). Hot callers use Engine.ScheduleCall, which
-//     stores a pre-bound (func(any), pointer-arg) pair in the event instead
-//     of a fresh closure.
+//     monotone radix queue keyed on the deadline relative to the last
+//     dispatched one: events live in one engine-owned slot slab threaded
+//     into radix buckets, and only the events due at the current instant
+//     sit in a small binary heap ordered by (stamp, pri, seq). One
+//     schedule+dispatch cycle is ~87 ns with 0 allocs/op on a 2-core Xeon
+//     (BenchmarkEngineSchedule; BenchmarkEngineHold gives the cost at fixed
+//     pending depths). Hot callers use Engine.ScheduleCall, which stores a
+//     pre-bound (func(any), pointer-arg) pair in the event instead of a
+//     fresh closure; Schedule's closure rides in the same pair behind a
+//     static trampoline, so there is one event shape.
 //   - Allocation budget. The transport (internal/netsim) injects a
 //     message's packets as a single walking event chain and draws Packet,
 //     walk, and per-message state (core.msgState, portals.recvState)
@@ -133,10 +138,13 @@
 //     at the window barrier; a walk-level priority key makes tie-breaking
 //     independent of which engine an event lives on). Output is
 //     byte-identical to serial at every K — pinned by a randomized
-//     equivalence suite — so partitioning buys wall-clock only: on one
-//     core, ~9% on Table 5c from splitting one large event heap into K
-//     small ones (heap pop dominates the serial profile); on multi-core
-//     machines the shards also run concurrently within each window. The
+//     equivalence suite — so partitioning buys wall-clock only. The ~9%
+//     single-core gain on Table 5c was measured as the split of one large
+//     4-ary event heap into K small ones, when heap pop dominated the
+//     serial profile; the radix queue's cost barely depends on depth, so
+//     that ratio is stale and must be re-measured for LP's verdict
+//     (ROADMAP item 3(c)). On multi-core machines the shards also run
+//     concurrently within each window. The
 //     normative contract (partitioning, lookahead, the flush-time
 //     violation panic, the pri key, pooling across the seam) is
 //     ARCHITECTURE.md "Parallel DES".

@@ -2,13 +2,21 @@
 //
 // Time is measured in integer picoseconds, which represents the paper's
 // finest-grained parameter (G in ps/Byte) exactly and spans roughly 106 days
-// in an int64 — far beyond any simulated run. Events scheduled for the same
-// instant fire in scheduling order (a monotonic sequence number breaks ties),
-// so simulations are bit-reproducible across runs.
+// in an int64 — far beyond any simulated run. Events fire in the strict
+// total order (at, stamp, pri, seq): deadline, then the clock when the
+// event's sequence number was allocated, then a caller-supplied priority
+// key (0 unless set through ScheduleCallSeq), then a per-engine sequence
+// number. Sequence numbers are unique, so the order has no ties and
+// simulations are bit-reproducible across runs; for plain Schedule and
+// ScheduleCall events at one instant it reduces to scheduling order.
 //
-// The event queue is a hand-specialized 4-ary min-heap over a flat []event
-// slice: no interface boxing, no container/heap indirection, and popped
-// slots are recycled in place, so steady-state scheduling allocates nothing.
+// The event queue is a monotone radix queue (Ahuja, Mehlhorn, Orlin &
+// Tarjan, JACM 1990) keyed on the deadline relative to the last dispatched
+// one, which simulated time makes legal: no event is scheduled before the
+// clock. Events live in one engine-owned slot slab; radix buckets and the
+// free list are intrusive lists through it, and the events due at the
+// current deadline sit in a small binary heap ordered by (stamp, pri, seq).
+// Popped slots are recycled, so steady-state scheduling allocates nothing.
 // Hot callers that would otherwise allocate a fresh closure per event can
 // use ScheduleCall, which carries a pre-bound (func(any), arg) pair instead,
 // and ReserveSeq/ScheduleCallSeq, which let a caller claim a block of
@@ -54,77 +62,30 @@ func (t Time) String() string {
 	}
 }
 
-// event is one queue entry. Exactly one of fn and call is set: fn is the
-// closure form, call+arg the pre-bound form (ScheduleCall). stamp is the
-// engine clock at the moment the event's sequence number was allocated
-// (Schedule time, or ReserveSeq time for deferred scheduling); pri is the
-// caller-supplied priority key of ScheduleCallSeq events (0 for everything
-// else).
-type event struct {
-	at    Time
-	stamp Time
-	pri   uint64
-	seq   uint64
-	fn    func()
-	call  func(any)
-	arg   any
-}
-
-// less orders events by deadline, then allocation stamp, then priority key,
-// then sequence number. The stamp and priority exist for the parallel-DES
-// mode (see Windows): an event migrated onto this engine at a window barrier
-// gets a fresh local seq, so seq values cannot be compared across engines —
-// instead, migratable events carry a priority key derived from
-// simulation-visible state (netsim uses the source node's send counter),
-// identical no matter which engine schedules them. Plain Schedule/
-// ScheduleCall events have pri 0 and win every tie against keyed events,
-// again identically in serial and parallel runs; between two pri-0 events
-// the seq tie-break is sound because such events are always scheduled by
-// the same logical process in the same relative order in either mode.
-func (a *event) less(b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.stamp != b.stamp {
-		return a.stamp < b.stamp
-	}
-	if a.pri != b.pri {
-		return a.pri < b.pri
-	}
-	return a.seq < b.seq
-}
-
-// heapArity is the fan-out of the event heap. A 4-ary heap halves tree depth
-// versus binary, trading a slightly wider sift-down for far fewer swaps on
-// push — the common operation in a simulation that schedules more than it
-// reorders.
-const heapArity = 4
-
 // Engine is a discrete-event simulation engine. The zero value is not ready
 // for use; create engines with NewEngine.
 type Engine struct {
 	now       Time
 	seq       uint64
-	events    []event // 4-ary min-heap, specialized (no container/heap)
 	processed uint64
+	q         queue
 }
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine { return &Engine{q: queue{free: nilSlot}} }
 
 // Reset returns the engine to its post-construction state: clock at zero,
-// sequence counter at zero, empty queue. The event slice's capacity is
-// retained so a reset engine schedules without growing the heap again; any
-// still-queued events are dropped (their callbacks never run) and their
-// references released. Reset is the engine-level half of the cluster-reuse
-// contract: a reset engine is indistinguishable from a fresh one to the
-// simulation, because scheduling order depends only on (time, seq) pairs,
-// which restart identically.
+// sequence counter at zero, empty queue. The slot slab and bucket-0 heap
+// keep their capacity, so a reset engine schedules without allocating;
+// any still-queued events are dropped (their callbacks never run) and
+// their references released. Reset is the engine-level half of the
+// cluster-reuse contract: a reset engine is indistinguishable from a fresh
+// one to the simulation, because the dispatch order is the strict total
+// order (at, stamp, pri, seq) and every input to it — the clock that
+// supplies stamps and the counter that supplies seqs — restarts
+// identically.
 func (e *Engine) Reset() {
-	for i := range e.events {
-		e.events[i] = event{} // release fn/arg references for the GC
-	}
-	e.events = e.events[:0]
+	e.q.reset()
 	e.now = 0
 	e.seq = 0
 	e.processed = 0
@@ -137,56 +98,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.events) }
-
-// push inserts ev, restoring the heap property by sifting up.
-func (e *Engine) push(ev event) {
-	h := append(e.events, ev)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / heapArity
-		if !h[i].less(&h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	e.events = h
-}
-
-// pop removes and returns the minimum event, sifting down from the root.
-func (e *Engine) pop() event {
-	h := e.events
-	root := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // drop fn/arg references so the GC can reclaim them
-	h = h[:n]
-	i := 0
-	for {
-		first := heapArity*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		last := first + heapArity
-		if last > n {
-			last = n
-		}
-		for j := first + 1; j < last; j++ {
-			if h[j].less(&h[min]) {
-				min = j
-			}
-		}
-		if !h[min].less(&h[i]) {
-			break
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-	e.events = h
-	return root
-}
+func (e *Engine) Pending() int { return e.q.n }
 
 // checkAt panics on scheduling in the past: it indicates a model bug
 // (causality violation), and silently clamping would hide it.
@@ -196,12 +108,18 @@ func (e *Engine) checkAt(at Time) {
 	}
 }
 
-// Schedule runs fn at absolute time at.
+// Schedule runs fn at absolute time at. The closure rides in the event's
+// argument behind a static trampoline, so both scheduling forms share one
+// event shape (a func value is pointer-shaped: storing it in an interface
+// does not allocate).
 func (e *Engine) Schedule(at Time, fn func()) {
 	e.checkAt(at)
 	e.seq++
-	e.push(event{at: at, stamp: e.now, seq: e.seq, fn: fn})
+	e.q.push(at, e.now, 0, e.seq, callClosure, fn)
 }
+
+// callClosure is the trampoline behind Schedule and After.
+func callClosure(fn any) { fn.(func())() }
 
 // ScheduleCall runs fn(arg) at absolute time at. Unlike Schedule, the
 // callback and its argument are stored directly in the event, so callers
@@ -210,7 +128,7 @@ func (e *Engine) Schedule(at Time, fn func()) {
 func (e *Engine) ScheduleCall(at Time, fn func(any), arg any) {
 	e.checkAt(at)
 	e.seq++
-	e.push(event{at: at, stamp: e.now, seq: e.seq, call: fn, arg: arg})
+	e.q.push(at, e.now, 0, e.seq, fn, arg)
 }
 
 // ReserveSeq claims n consecutive sequence numbers and returns the first.
@@ -220,7 +138,7 @@ func (e *Engine) ScheduleCall(at Time, fn func(any), arg any) {
 // had they all been scheduled eagerly at reservation time. The caller must
 // also capture Now() at reservation time and pass it as the stamp of every
 // deferred ScheduleCallSeq, preserving the eager order under the
-// (at, stamp, seq) comparator.
+// (at, stamp, pri, seq) order.
 func (e *Engine) ReserveSeq(n int) uint64 {
 	first := e.seq + 1
 	e.seq += uint64(n)
@@ -233,12 +151,12 @@ func (e *Engine) ReserveSeq(n int) uint64 {
 // stamp and the sequence number. Callers that never migrate events across
 // engines may pass pri 0; parallel-DES callers must derive pri from
 // simulation state so it is identical in serial and partitioned runs (see
-// the less comparator). Reusing a sequence number, inventing one, or
+// the order documented on queue). Reusing a sequence number, inventing one, or
 // passing a stamp other than the reservation-time clock breaks the
 // engine's determinism contract.
 func (e *Engine) ScheduleCallSeq(at, stamp Time, pri, seq uint64, fn func(any), arg any) {
 	e.checkAt(at)
-	e.push(event{at: at, stamp: stamp, pri: pri, seq: seq, call: fn, arg: arg})
+	e.q.push(at, stamp, pri, seq, fn, arg)
 }
 
 // After runs fn d picoseconds from now.
@@ -246,17 +164,13 @@ func (e *Engine) After(d Time, fn func()) { e.Schedule(e.now+d, fn) }
 
 // Step executes the next event, if any, and reports whether one ran.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	if e.q.n == 0 {
 		return false
 	}
-	ev := e.pop()
-	e.now = ev.at
+	call, arg := e.q.pop()
+	e.now = e.q.last
 	e.processed++
-	if ev.call != nil {
-		ev.call(ev.arg)
-	} else {
-		ev.fn()
-	}
+	call(arg)
 	return true
 }
 
@@ -269,7 +183,7 @@ func (e *Engine) Run() Time {
 
 // RunUntil executes events with deadlines <= t, then advances the clock to t.
 func (e *Engine) RunUntil(t Time) {
-	for len(e.events) > 0 && e.events[0].at <= t {
+	for next, ok := e.q.peek(); ok && next <= t; next, ok = e.q.peek() {
 		e.Step()
 	}
 	if t > e.now {
@@ -285,7 +199,7 @@ func (e *Engine) RunUntil(t Time) {
 // window: with bound = horizon + lookahead, every event below bound is
 // causally independent of the other processes' pending work.
 func (e *Engine) RunBefore(bound Time) {
-	for len(e.events) > 0 && e.events[0].at < bound {
+	for next, ok := e.q.peek(); ok && next < bound; next, ok = e.q.peek() {
 		e.Step()
 	}
 }
@@ -293,8 +207,5 @@ func (e *Engine) RunBefore(bound Time) {
 // NextEventTime returns the deadline of the earliest pending event, and
 // whether one exists.
 func (e *Engine) NextEventTime() (Time, bool) {
-	if len(e.events) == 0 {
-		return 0, false
-	}
-	return e.events[0].at, true
+	return e.q.peek()
 }

@@ -239,24 +239,39 @@ func TestReserveSeqPreservesEagerOrder(t *testing.T) {
 }
 
 // TestSteadyStateSchedulingAllocatesNothing pins the zero-allocation hot
-// path: once the heap slice has grown, schedule+dispatch cycles must not
-// allocate.
+// path: once the slot slab and bucket-0 heap have grown, schedule+dispatch
+// cycles must not allocate — and neither must rerunning the same workload
+// after Reset, which keeps their capacity (the reuse path
+// mpisim.Engine.Reset relies on).
 func TestSteadyStateSchedulingAllocatesNothing(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}
 	call := func(any) {}
-	for i := 0; i < 256; i++ {
-		e.Schedule(Time(i), fn)
-	}
 	var arg *Engine // pointer arg: no boxing
-	allocs := testing.AllocsPerRun(1000, func() {
+	fill := func() {
+		for i := 0; i < 256; i++ {
+			e.Schedule(Time(i/8), fn) // same-instant groups of 8
+		}
+	}
+	cycle := func() {
 		e.Schedule(e.Now()+5, fn)
 		e.ScheduleCall(e.Now()+3, call, arg)
 		e.Step()
 		e.Step()
+	}
+	fill()
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("steady-state scheduling allocated %.1f objects per cycle", allocs)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		e.Reset()
+		fill()
+		for i := 0; i < 64; i++ {
+			cycle()
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state scheduling allocated %.1f objects per cycle", allocs)
+		t.Fatalf("rerun after Reset allocated %.1f objects", allocs)
 	}
 }
 

@@ -85,6 +85,12 @@ echo "== impairment-grammar fuzz smoke (FuzzParseImpairment, 5s) =="
 # cache keys depend on).
 go test -run '^$' -fuzz 'FuzzParseImpairment' -fuzztime 5s ./internal/netsim
 
+echo "== event-queue order fuzz smoke (FuzzEngineOrder, 5s) =="
+# Short native-fuzz pass over engine op scripts: the radix event queue must
+# pop exactly the (at, stamp, pri, seq) sequence of the former 4-ary heap,
+# kept as the reference in internal/sim/heapref_test.go.
+go test -run '^$' -fuzz 'FuzzEngineOrder' -fuzztime 5s ./internal/sim
+
 echo "== alloc budgets (engine schedule / transport / retransmit / Table5c / Table5cLP / Fig5a / SPC) =="
 # Ceilings from BENCH_core.json: 0 allocs per schedule+dispatch, <= 7 per
 # 256-packet message, 0 per lossy reliable put in steady state, the
