@@ -15,10 +15,10 @@ check:
 	sh scripts/check.sh
 
 # lint runs the repo-specific analyzers (cmd/simlint): nosyncpool,
-# nowallclock, maporder, noclosuresched, poolretain, pkgdoc, lpowner,
-# servebound, hotalloc, staledirective — each enforcing an
-# ARCHITECTURE.md contract clause (the last three over the module call
-# graph). -suppressions audits the //simlint: annotation inventory.
+# nowallclock, maporder, noclosuresched, poolretain, pkgdoc, servebound,
+# hotalloc, staledirective — each enforcing an ARCHITECTURE.md contract
+# clause (the last three over the module call graph). -suppressions
+# audits the //simlint: annotation inventory.
 lint:
 	$(GO) run ./cmd/simlint ./...
 	$(GO) run ./cmd/simlint -suppressions ./...
@@ -32,7 +32,6 @@ race:
 	$(GO) test -race -count=1 -run 'TestSerialVsConcurrentExperimentsByteIdentical' ./cmd/spinbench
 	$(GO) test -race -count=1 -run 'TestPoolRunByteIdentical' ./internal/bench
 	$(GO) test -race -count=1 -run 'TestConcurrentIdenticalRequestsRunOnce' ./internal/serve
-	$(GO) test -race -count=1 -run 'TestLPEquivalenceRandomized' ./internal/bench
 
 build:
 	$(GO) build $(LDFLAGS) ./...

@@ -28,12 +28,6 @@ import (
 //     ~439k, and the PR-5 pooled program sets plus the allocation-free
 //     neighbor arithmetic to ~74k. The 150k budget admits drift — any
 //     return toward per-replay program construction fails the gate.
-//   - table5cLPBudget: the same regeneration with every replay partitioned
-//     into 4 logical processes (bench.Table5cLP). LP mode costs ~1.5k extra
-//     allocs over serial (shard clusters, window channels, cross-shard
-//     outbox growth), measured ~96k against serial's ~95k; the slightly
-//     wider budget keeps the gate sensitive to a leak in the
-//     flush/outbox path without tripping on shard setup.
 //   - spcBudget: one full SPC trace-study regeneration (five traces, both
 //     NIC types, both protocols). PR 3 measured ~155k allocs, dominated by
 //     per-request portals work; the PR-4 portals-layer pooling (message
@@ -53,7 +47,6 @@ const (
 	engineScheduleBudget     = 0
 	clusterSendLargeBudget   = 7
 	table5cBudget            = 150_000
-	table5cLPBudget          = 160_000
 	spcBudget                = 15_000
 	fig5aBudget              = 120_000
 	retransSteadyStateBudget = 0
@@ -145,20 +138,6 @@ func TestAllocBudgets(t *testing.T) {
 		})
 		if got := res.AllocsPerOp(); got > table5cBudget {
 			t.Errorf("Table5c regeneration = %d allocs/op, budget %d", got, table5cBudget)
-		}
-	})
-
-	t.Run("Table5cLP4", func(t *testing.T) {
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.Table5cLP(benchScale, 4); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		if got := res.AllocsPerOp(); got > table5cLPBudget {
-			t.Errorf("Table5cLP(4) regeneration = %d allocs/op, budget %d", got, table5cLPBudget)
 		}
 	})
 

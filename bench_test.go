@@ -79,22 +79,6 @@ func BenchmarkTable5c(b *testing.B) {
 	runTable(b, bench.Table5c)
 }
 
-// BenchmarkTable5cLP{1,2,4} regenerate Table 5c with every mpisim replay
-// partitioned into logical processes (conservative parallel DES,
-// RunOptions.LP). The output is byte-identical at every partition count —
-// TestLPEquivalenceRandomized pins that — so the three rows isolate the
-// wall-clock effect of partitioning alone. On a single-core machine the
-// LP>1 gain comes from splitting one large event heap into K small ones;
-// on multi-core machines the shards additionally run concurrently.
-func BenchmarkTable5cLP1(b *testing.B) { benchTable5cLP(b, 1) }
-func BenchmarkTable5cLP2(b *testing.B) { benchTable5cLP(b, 2) }
-func BenchmarkTable5cLP4(b *testing.B) { benchTable5cLP(b, 4) }
-
-func benchTable5cLP(b *testing.B, lp int) {
-	b.Helper()
-	runTable(b, func(scale int) (*bench.Table, error) { return bench.Table5cLP(scale, lp) })
-}
-
 // BenchmarkFig7a regenerates Figure 7a (strided datatype receive).
 func BenchmarkFig7a(b *testing.B) {
 	runTable(b, bench.Fig7a)

@@ -1,14 +1,13 @@
-// Command simlint is the repository's multichecker: it runs the ten
-// analyzers that mechanically enforce the determinism, pooling,
-// serve-boundary, and LP-ownership contracts of ARCHITECTURE.md —
+// Command simlint is the repository's multichecker: it runs the nine
+// analyzers that mechanically enforce the determinism, pooling, and
+// serve-boundary contracts of ARCHITECTURE.md —
 // nosyncpool (free lists must be engine-owned), nowallclock (no wall
 // clock or global PRNG in simulation code), maporder (no unordered map
 // iteration), noclosuresched (no closure scheduling on the engine hot
 // path), poolretain (no pooled *Packet/*Message homes outside the owner
 // layers), pkgdoc (every package documents its role), servebound (no
 // engine calls reachable from an HTTP handler except through bench.Pool
-// submission), lpowner (no cross-shard access to shard-owned LP cluster
-// state), hotalloc (no unannotated allocation sites reachable from
+// submission), hotalloc (no unannotated allocation sites reachable from
 // event-dispatch roots), and staledirective (every //simlint: annotation
 // must still suppress something).
 //
@@ -24,7 +23,7 @@
 // Exit status: 0 clean, 1 findings (printed file:line:col, go-vet style),
 // 2 load failure. Annotations create audited exceptions, each requiring a
 // reason: //simlint:wallclock-ok, //simlint:unordered-ok,
-// //simlint:servebound-ok, //simlint:lpowner-ok, and //simlint:alloc-ok.
+// //simlint:servebound-ok, and //simlint:alloc-ok.
 // make lint, scripts/check.sh, and both CI matrix jobs run this command
 // on every merge.
 //

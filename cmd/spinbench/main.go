@@ -15,8 +15,6 @@
 //	spinbench -wall            # report wall time + allocations per experiment
 //	spinbench -impair 'loss=0.01,jitter=2us,seed=7'
 //	                           # inject a deterministic network fault model
-//	spinbench -lp 4            # partition mpisim replays into 4 logical
-//	                           # processes (identical bytes, parallel DES)
 //
 // -parallel N parallelizes on two levels: up to N independent experiments
 // run concurrently, and every experiment's measurement points are queued
@@ -36,14 +34,6 @@
 // across re-runs and across -parallel settings; the per-experiment fault
 // counters are reported on stderr. raidsim replays ignore the model (the
 // storage service has no recovery layer).
-//
-// -lp K runs every mpisim trace replay (table5c) as a conservative parallel
-// discrete-event simulation: the cluster is partitioned into up to K logical
-// processes, each on a private engine, synchronized by link-latency
-// lookahead windows. Output is byte-identical to -lp 1 — only wall-clock
-// changes. LP parallelism is within one simulation point, -parallel across
-// points; when both are set the pool's worker count is divided by K so the
-// machine-wide engine budget stays at -parallel.
 package main
 
 import (
@@ -82,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	wall := fs.Bool("wall", false, "report wall-clock time and heap allocations per experiment on stderr")
 	parallel := fs.Int("parallel", 1, "concurrent experiments and sweep workers per experiment (1 = serial, 0 = GOMAXPROCS)")
 	impair := fs.String("impair", "", "deterministic network fault model, e.g. 'loss=0.01,jitter=2us,fail=0:1:0,seed=7'")
-	lp := fs.Int("lp", 1, "logical processes per mpisim replay (conservative parallel DES; output is byte-identical to -lp 1)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -131,10 +120,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *wall {
 		fmt.Fprintf(stderr, "spinbench: version %s\n", buildinfo.Version)
 	}
-	if *lp < 1 {
-		fmt.Fprintf(stderr, "spinbench: -lp must be >= 1\n")
-		return 2
-	}
 	workers := *parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -144,7 +129,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// produces the reference byte stream the pooled path matches.
 		for _, e := range sel {
 			var o expOutput
-			runExperiment(e, *scale, nil, im, *lp, *csv, *wall, &o)
+			runExperiment(e, *scale, nil, im, *csv, *wall, &o)
 			if flushExperiment(e, &o, stdout, stderr) != 0 {
 				return 1
 			}
@@ -153,21 +138,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// Parallel: ONE shared persistent pool of N workers executes every
 	// simulation point of every selected experiment as a queued task, so a
-	// wide run is bounded at N executing engines by construction (the
-	// pre-pool Budget bounded the same thing by semaphore around spawned
-	// goroutines). Up to N experiment goroutines only orchestrate — build
-	// sweeps, render tables — into per-experiment buffers, and the flush
-	// below reproduces the serial byte stream regardless of completion
-	// order. Note -wall alloc counts include concurrently running
-	// experiments in this mode (runtime.MemStats is process-global).
-	// LP parallelism multiplies the engine count per executing point, so the
-	// pool's worker budget is divided by K to keep machine-wide concurrency
-	// at the -parallel target.
-	poolWorkers := workers / *lp
-	if poolWorkers < 1 {
-		poolWorkers = 1
-	}
-	pool := bench.NewPool(poolWorkers)
+	// wide run is bounded at N executing engines by construction. Up to N
+	// experiment goroutines only orchestrate — build sweeps, render tables
+	// — into per-experiment buffers, and the flush below reproduces the
+	// serial byte stream regardless of completion order. Note -wall alloc
+	// counts include concurrently running experiments in this mode
+	// (runtime.MemStats is process-global).
+	pool := bench.NewPool(workers)
 	defer pool.Close()
 	expWorkers := workers
 	if expWorkers > len(sel) {
@@ -180,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		go func() {
 			defer wg.Done()
 			for i := w; i < len(sel); i += expWorkers {
-				runExperiment(sel[i], *scale, pool, im, *lp, *csv, *wall, &outs[i])
+				runExperiment(sel[i], *scale, pool, im, *csv, *wall, &outs[i])
 				if outs[i].err != nil {
 					return
 				}
@@ -225,16 +202,15 @@ type expOutput struct {
 // runExperiment builds and runs one experiment, rendering into o. With a
 // non-nil pool its measurement points execute as queued tasks on the
 // shared persistent workers (this goroutine never touches an engine);
-// nil runs serially in place. A non-nil im is the -impair fault model; lp is
-// the -lp logical-process count for mpisim replays.
-func runExperiment(e bench.Experiment, scale int, pool *bench.Pool, im *netsim.Impairment, lp int, csv, wall bool, o *expOutput) {
+// nil runs serially in place. A non-nil im is the -impair fault model.
+func runExperiment(e bench.Experiment, scale int, pool *bench.Pool, im *netsim.Impairment, csv, wall bool, o *expOutput) {
 	t0 := time.Now() //simlint:wallclock-ok -wall measures real elapsed time per experiment, reported on stderr only
 	var m0 runtime.MemStats
 	if wall {
 		runtime.ReadMemStats(&m0)
 	}
 	s := e.Build(scale)
-	tab, err := s.Run(bench.RunOptions{Pool: pool, Impairment: im, LP: lp})
+	tab, err := s.Run(bench.RunOptions{Pool: pool, Impairment: im})
 	if err != nil {
 		o.err = err
 		return
@@ -247,7 +223,7 @@ func runExperiment(e bench.Experiment, scale int, pool *bench.Pool, im *netsim.I
 			e.ID, elapsed.Round(time.Millisecond), m1.Mallocs-m0.Mallocs)
 	}
 	// Fault counters are summed from every worker's environment, so the
-	// line is identical no matter how the sweep was sharded.
+	// line is identical no matter which workers ran the sweep.
 	if f := s.Faults(); f.Any() {
 		fmt.Fprintf(&o.diag, "spinbench: %s: faults: lost=%d blocked=%d corrupted=%d delayed=%d retransmits=%d retrans_failures=%d\n",
 			e.ID, f.Lost, f.Blocked, f.Corrupted, f.Delayed, f.Retransmits, f.RetransFails)

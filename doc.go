@@ -116,9 +116,9 @@
 //     coordinate vectors — together a Table 5c regeneration fell from ~439k
 //     to ~74k allocations.
 //   - Parallel sweeps. The engine stays single-threaded by design, so
-//     bench.Sweep parallelizes across measurement points instead: point i
-//     runs on worker i mod W (each worker owns its Env, engines, and
-//     clusters), and rows merge back in point order, making the output
+//     bench.Sweep parallelizes across measurement points instead: points
+//     queue as tasks on a bench.Pool (each worker owns its Env, engines,
+//     and clusters), and rows merge back in point order, making the output
 //     byte-identical for every worker count. cmd/spinbench additionally
 //     runs independent experiments concurrently with per-experiment output
 //     buffering, preserving the serial byte stream — both levels pinned by
@@ -129,25 +129,6 @@
 //     most N engines instead of composing to N^2; queuing order never
 //     reaches output order (points are hermetic and rows merge in
 //     registration order), so output bytes are unaffected.
-//   - Conservative parallel DES. Where parallel sweeps shard independent
-//     measurement points, `spinbench -lp K` parallelizes a single
-//     simulation: netsim.NewClusterLP partitions the node slice into K
-//     contiguous shards, each owning a private engine, and sim.Windows
-//     advances them in conservative synchronous windows whose lookahead is
-//     the minimum cross-partition link latency (cross-shard sends migrate
-//     at the window barrier; a walk-level priority key makes tie-breaking
-//     independent of which engine an event lives on). Output is
-//     byte-identical to serial at every K — pinned by a randomized
-//     equivalence suite — so partitioning buys wall-clock only. The ~9%
-//     single-core gain on Table 5c was measured as the split of one large
-//     4-ary event heap into K small ones, when heap pop dominated the
-//     serial profile; the radix queue's cost barely depends on depth, so
-//     that ratio is stale and must be re-measured for LP's verdict
-//     (ROADMAP item 3(c)). On multi-core machines the shards also run
-//     concurrently within each window. The
-//     normative contract (partitioning, lookahead, the flush-time
-//     violation panic, the pri key, pooling across the seam) is
-//     ARCHITECTURE.md "Parallel DES".
 //   - Served experiments. internal/serve + cmd/spinserve run the registry
 //     as a long-running HTTP service on the same pool, with a
 //     content-addressed result cache keyed by (experiment, canonical

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -30,8 +31,8 @@ func buildExperiment(t *testing.T, id string) Experiment {
 // the reuse and parallelism contracts: for each listed experiment the CSV
 // output must be byte-identical across (a) the from-scratch baseline (a
 // fresh cluster/engine/system per measurement point, the pre-reuse
-// behaviour), (b) the serial runner reusing Reset state, and (c) the
-// sharded parallel runner. The list covers every reuse mechanism: fig3b
+// behaviour), (b) the serial runner reusing Reset state, and (c) a 4-worker
+// pool. The list covers every reuse mechanism: fig3b
 // and fig5a exercise the cluster cache, table5c the mpisim engine cache,
 // spc the raidsim system cache, and fig7a the non-zeroed Env.hostMem
 // scratch region plus the vectorized scatter path (both columns, so the
@@ -41,6 +42,8 @@ func buildExperiment(t *testing.T, id string) Experiment {
 // nondeterministic merge or a stale field missed by a Reset shows up here
 // as a byte diff.
 func TestSweepResetAndParallelDeterminism(t *testing.T) {
+	pool := NewPool(4)
+	defer pool.Close()
 	for _, id := range []string{"fig3b", "fig5a", "table5c", "spc", "fig7a"} {
 		scale := 4
 		exp := buildExperiment(t, id)
@@ -58,20 +61,12 @@ func TestSweepResetAndParallelDeterminism(t *testing.T) {
 			t.Fatalf("%s: Reset-reuse output differs from fresh-cluster output:\n--- fresh ---\n%s--- reuse ---\n%s", id, fresh, reuse)
 		}
 
-		parTab, err := exp.Build(scale).Run(RunOptions{Workers: 4})
+		parTab, err := exp.Build(scale).Run(RunOptions{Pool: pool})
 		if err != nil {
 			t.Fatalf("%s parallel: %v", id, err)
 		}
 		if par := tableCSV(parTab); par != fresh {
 			t.Fatalf("%s: parallel output differs from serial output:\n--- serial ---\n%s--- parallel ---\n%s", id, fresh, par)
-		}
-
-		lpTab, err := exp.Build(scale).Run(RunOptions{LP: 4})
-		if err != nil {
-			t.Fatalf("%s lp: %v", id, err)
-		}
-		if lp := tableCSV(lpTab); lp != fresh {
-			t.Fatalf("%s: LP-partitioned output differs from serial output:\n--- serial ---\n%s--- lp ---\n%s", id, fresh, lp)
 		}
 	}
 }
@@ -114,8 +109,8 @@ func TestEnvReusesClusters(t *testing.T) {
 	}
 }
 
-// TestSweepErrorPropagates checks Run surfaces a failing point's error in
-// point order, serial and parallel.
+// TestSweepErrorPropagates checks Run surfaces the earliest-indexed failing
+// point's error, serial and on a pool.
 func TestSweepErrorPropagates(t *testing.T) {
 	build := func() *Sweep {
 		s := NewSweep(&Table{ID: "x", Header: []string{"v"}})
@@ -123,8 +118,11 @@ func TestSweepErrorPropagates(t *testing.T) {
 			s.Row(func(e *Env) ([]string, error) {
 				// An impossible ping-pong: oversized HPU memory demand is
 				// not triggerable here, so use a plain failing point.
-				if i == 3 {
+				switch i {
+				case 3:
 					return nil, errPoint
+				case 5:
+					return nil, errLater
 				}
 				return []string{"ok"}, nil
 			})
@@ -134,16 +132,17 @@ func TestSweepErrorPropagates(t *testing.T) {
 	if _, err := build().Run(RunOptions{}); err != errPoint {
 		t.Fatalf("serial: err = %v, want errPoint", err)
 	}
-	if _, err := build().Run(RunOptions{Workers: 3}); err != errPoint {
-		t.Fatalf("parallel: err = %v, want errPoint", err)
+	pool := NewPool(3)
+	defer pool.Close()
+	if _, err := build().Run(RunOptions{Pool: pool}); err != errPoint {
+		t.Fatalf("pool: err = %v, want errPoint", err)
 	}
 }
 
-var errPoint = &pointError{}
-
-type pointError struct{}
-
-func (*pointError) Error() string { return "point failed" }
+var (
+	errPoint = errors.New("point failed")
+	errLater = errors.New("later point failed")
+)
 
 // TestSingleHelperEquivalence pins that the exported single-point helpers
 // (nil Env) and the sweep path measure the same thing: one of each family.
@@ -170,7 +169,7 @@ func TestSingleHelperEquivalence(t *testing.T) {
 // TestImpairedSweepDeterminism extends the golden equality check to sweeps
 // running under a fault model: with a fixed impairment, CSV output and the
 // accumulated fault counters must be byte-identical across the from-scratch
-// baseline, the Reset-reuse serial runner, and the sharded parallel runner.
+// baseline, the Reset-reuse serial runner, and a 4-worker pool.
 // fig3b runs under jitter+latency only — ping-pong has no retransmission
 // path, so loss would legitimately stall it — while ftbcast layers user
 // loss+jitter on top of its built-in recovery machinery. This is the -race
@@ -184,6 +183,8 @@ func TestImpairedSweepDeterminism(t *testing.T) {
 		{"fig3b", &netsim.Impairment{Seed: 11, ExtraLatency: 300 * sim.Nanosecond, Jitter: 200 * sim.Nanosecond}},
 		{"ftbcast", &netsim.Impairment{Seed: 9, Loss: 0.02, Jitter: 300 * sim.Nanosecond}},
 	}
+	pool := NewPool(4)
+	defer pool.Close()
 	for _, tc := range cases {
 		scale := 4
 		exp := buildExperiment(t, tc.id)
@@ -212,7 +213,7 @@ func TestImpairedSweepDeterminism(t *testing.T) {
 		}
 
 		par := exp.Build(scale)
-		parTab, err := par.Run(RunOptions{Workers: 4, Impairment: tc.im})
+		parTab, err := par.Run(RunOptions{Pool: pool, Impairment: tc.im})
 		if err != nil {
 			t.Fatalf("%s impaired parallel: %v", tc.id, err)
 		}

@@ -120,80 +120,3 @@ func TestImpairedGiveUpSurfacesAsDeadlock(t *testing.T) {
 		t.Fatal("no packets blocked on the dead link")
 	}
 }
-
-// ring builds an n-rank program where each rank exchanges with both ring
-// neighbours every iteration — unlike exchange's two ranks, the traffic
-// crosses every partition boundary an LP run can cut.
-func ring(n, size int, compute sim.Time, iters int) [][]Op {
-	progs := make([][]Op, n)
-	for r := 0; r < n; r++ {
-		next, prev := (r+1)%n, (r+n-1)%n
-		var ops []Op
-		for it := 0; it < iters; it++ {
-			tag := uint64(it + 1)
-			ops = append(ops,
-				Op{Kind: OpIrecv, Peer: prev, Tag: tag, Size: size},
-				Op{Kind: OpIsend, Peer: next, Tag: tag, Size: size},
-				Op{Kind: OpCompute, Dur: compute},
-				Op{Kind: OpWaitAll},
-			)
-		}
-		progs[r] = ops
-	}
-	return progs
-}
-
-// TestLPReset pins the reset contract for partitioned engines: Reset on an
-// LP engine must cascade through every shard engine and restart the
-// per-link impairment sequence numbers, so an impaired LP replay after
-// Reset is bit-identical to the fresh one (Result and fault counters), and
-// both match the serial engine bit for bit.
-func TestLPReset(t *testing.T) {
-	im := &netsim.Impairment{Seed: 31, Loss: 0.05, Jitter: 400 * sim.Nanosecond}
-	progs := ring(6, 24*1024, 3*sim.Microsecond, 3)
-	cfg := impairedConfig(SpinMatching, im)
-	cfg.MaxRetries = 64
-
-	serial, err := New(cfg, progs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := serial.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantFaults := serial.C.Faults
-	if !wantFaults.Any() {
-		t.Fatal("no faults injected at loss=0.05")
-	}
-
-	cfg.LP = 3
-	e, err := New(cfg, progs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.C.LPCount() != 3 {
-		t.Fatalf("LPCount = %d, want 3", e.C.LPCount())
-	}
-	fresh, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh != want || e.C.Faults != wantFaults {
-		t.Fatalf("LP replay diverged from serial:\nserial %+v faults %+v\nlp     %+v faults %+v",
-			want, wantFaults, fresh, e.C.Faults)
-	}
-	if err := e.Reset(progs); err != nil {
-		t.Fatal(err)
-	}
-	reused, err := e.Run()
-	if err != nil {
-		t.Fatalf("LP reset replay: %v", err)
-	}
-	if reused != fresh {
-		t.Fatalf("LP reset diverged:\nfresh  %+v\nreused %+v", fresh, reused)
-	}
-	if e.C.Faults != wantFaults {
-		t.Fatalf("LP reset fault schedule diverged: %+v vs %+v", e.C.Faults, wantFaults)
-	}
-}

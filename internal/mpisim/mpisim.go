@@ -97,12 +97,6 @@ type Config struct {
 	// when retry is enabled). An exchange that exhausts its budget stops
 	// progressing and surfaces as a deadlock from Run.
 	MaxRetries int
-
-	// LP partitions the cluster into up to LP logical processes advancing
-	// concurrently under a conservative lookahead window
-	// (netsim.NewClusterLP); 0 or 1 replays serially. Simulated output is
-	// byte-identical at any LP — partitioning changes wall-clock time only.
-	LP int
 }
 
 // DefaultRetryTimeout is the rendezvous-control retry interval installed by
@@ -185,16 +179,13 @@ type pullDest struct {
 
 // rank is one simulated MPI process. Every mutable field — program state,
 // protocol maps, free lists, counters — is owned by the rank and touched
-// only by events on its node's engine, which is what makes the LP mode's
-// concurrent windows race-free: a rank's protocol state never crosses the
-// shard seam (senders and receivers each key their own maps; see the field
-// comments).
+// only by its own events (senders and receivers each key their own maps;
+// see the field comments).
 type rank struct {
 	id  int
 	eng *Engine
-	// nc is the transport cluster owning this rank's node: the shard in LP
-	// mode, the root cluster when serial. All of the rank's events schedule
-	// on nc.Eng, and its wire messages come from nc's free list.
+	// nc is the engine's cluster, held per rank so the hot paths reach its
+	// engine and message free list in one load.
 	nc  *netsim.Cluster
 	cpu *hostsim.CPU
 	// nz is the rank's noise model, built once at construction (not once
@@ -265,7 +256,7 @@ type Engine struct {
 
 // New builds a replay engine for the given per-rank programs.
 func New(cfg Config, programs [][]Op) (*Engine, error) {
-	c, err := netsim.NewClusterLP(len(programs), cfg.Params, cfg.LP)
+	c, err := netsim.NewCluster(len(programs), cfg.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -286,7 +277,7 @@ func New(cfg Config, programs [][]Op) (*Engine, error) {
 			nz = cfg.Noise(i)
 		}
 		e.rank[i] = &rank{
-			id: i, eng: e, nc: c.NodeCluster(i),
+			id: i, eng: e, nc: c,
 			cpu: hostsim.New(c, i, nz), nz: nz, ops: prog,
 			inflight: make(map[*netsim.Message]*inflight),
 			rdvPull:  make(map[uint64]*sendReq),
@@ -443,8 +434,7 @@ func (e *Engine) armCtlRetry(now sim.Time, isRTS bool, id uint64, r *rank, peer 
 }
 
 // runCtlRetry is the ScheduleCall entry point for a control-retry timeout.
-// It fires on the arming rank's engine and touches only that rank's maps
-// and its shard's fault counters.
+// It touches only the arming rank's maps and the cluster's fault counters.
 func runCtlRetry(a any) {
 	cr := a.(*ctlRetry)
 	e := cr.e
@@ -500,9 +490,9 @@ func (r *rank) allocInflight() *inflight {
 
 func (r *rank) freeInflight(fl *inflight) { r.inflFree = append(r.inflFree, fl) }
 
-// allocMsg draws a zeroed wire message from the rank's owning cluster's free
-// list. The transport recycles it as soon as the last packet has been
-// dispatched, which is safe because pendingArrival copies every field the
+// allocMsg draws a zeroed wire message from the cluster's free list. The
+// transport recycles it as soon as the last packet has been dispatched,
+// which is safe because pendingArrival copies every field the
 // protocol may need later.
 func (r *rank) allocMsg() *netsim.Message {
 	return r.nc.AllocMessage()
@@ -528,7 +518,7 @@ func (e *Engine) Run() (Result, error) {
 		e.Res.Retransmits += r.retransmits
 	}
 	e.Res.Runtime = end
-	e.Res.Events = e.C.Processed()
+	e.Res.Events = e.C.Eng.Processed()
 	return e.Res, nil
 }
 

@@ -405,17 +405,6 @@ func (c *Cluster) SetImpairment(im *Impairment) {
 	if !im.Enabled() {
 		im = nil
 	}
-	c.setImp(im)
-	// An LP root cascades into every shard: faults are decided on the shard
-	// transporting the packet, and each shard counts its own links (a link's
-	// traffic always originates at the source's shard, so the per-shard
-	// counters reproduce the serial sequence exactly).
-	for _, s := range c.shards {
-		s.setImp(im)
-	}
-}
-
-func (c *Cluster) setImp(im *Impairment) {
 	c.imp = im
 	if im != nil && c.linkSeq == nil {
 		c.linkSeq = make(map[uint64]uint64)
@@ -509,7 +498,7 @@ func (c *Cluster) packetAccounted(m *Message) {
 	if m.track > 0 || !m.pooled {
 		return
 	}
-	if m.faulted && (m.touched || m.Delivered != nil || m.OnDelivered != nil) {
+	if m.faulted && (m.touched || m.Delivered != nil) {
 		c.quarantine = append(c.quarantine, m)
 		return
 	}

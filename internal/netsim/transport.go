@@ -62,16 +62,12 @@ type Message struct {
 	// the requester can correlate completions.
 	ReplyTo uint64
 
-	// OnDelivered, if set, runs at the source when the last packet has
-	// been injected (send-side completion, e.g. MD events). Hot paths use
-	// the pre-bound Delivered/DeliveredArg pair instead, which schedules
-	// without allocating a closure; when both are set only Delivered runs.
-	OnDelivered func(now sim.Time)
-
-	// Delivered is the closure-free form of OnDelivered, in the style of
-	// sim.Engine.ScheduleCall: at send-side completion the transport invokes
-	// Delivered(DeliveredArg, now) through a dispatcher pre-bound at cluster
-	// construction. The callback must not retain the message.
+	// Delivered, if set, runs at the source when the last packet has been
+	// injected (send-side completion, e.g. MD events). In the style of
+	// sim.Engine.ScheduleCall, the transport invokes Delivered(DeliveredArg,
+	// now) through a dispatcher pre-bound at cluster construction, so a
+	// non-capturing callback schedules without allocating. The callback
+	// must not retain the message.
 	Delivered    func(arg any, now sim.Time)
 	DeliveredArg any
 
@@ -162,40 +158,17 @@ type Node struct {
 
 	cluster *Cluster
 	// sendSeq counts this node's sends. It feeds the priority key of every
-	// walk event the node originates (see msgWalk.pri): a pure function of
-	// the node's own traffic, so it is identical in serial and LP runs.
+	// walk event the node originates (see msgWalk.pri).
 	sendSeq uint64
 }
 
 // Cluster wires n nodes onto one engine and transports packets between them.
-//
-// A cluster built by NewClusterLP is additionally partitioned into logical
-// processes (LPs) for conservative parallel execution: the root cluster owns
-// the full node slice and the shard clusters — one per LP, each with a
-// private engine — own contiguous node ranges (Node.cluster names the
-// owner). Send routes every message to the source node's owning shard, so
-// serial and shard-local traffic take the same path; cross-shard traffic is
-// parked in the source shard's outbox and injected into the destination
-// shard's engine at the next window barrier (see lp.go and ARCHITECTURE.md
-// "Parallel DES").
 type Cluster struct {
 	Eng    *sim.Engine
 	P      Params
 	Nodes  []*Node
 	Rec    *timeline.Recorder // optional; nil disables recording
 	nextID uint64
-
-	// Parallel-DES wiring. A serial cluster leaves all of this zero; an LP
-	// root has shards (and group) populated; a shard has root set and idBase
-	// marking the high bits of its message IDs so per-shard NextID counters
-	// stay globally unique.
-	shards    []*Cluster
-	root      *Cluster
-	idBase    uint64
-	lookahead sim.Time
-	group     *sim.Windows
-	outbox    []crossSend
-	crossBuf  []crossSend // root-owned scratch for barrier flushes
 
 	// pktFree, walkFree, and msgFree are engine-owned free lists
 	// (deliberately not sync.Pool: the engine is single-threaded and reuse
@@ -204,12 +177,10 @@ type Cluster struct {
 	walkFree []*msgWalk
 	msgFree  []*Message
 
-	// deliveredCall and onDeliveredCall are the pre-bound dispatchers for
-	// Message.Delivered and Message.OnDelivered, built once at construction
-	// so send-side completion schedules via ScheduleCall without a
-	// per-message closure.
-	deliveredCall   func(any)
-	onDeliveredCall func(any)
+	// deliveredCall is the pre-bound dispatcher for Message.Delivered,
+	// built once at construction so send-side completion schedules via
+	// ScheduleCall without a per-message closure.
+	deliveredCall func(any)
 
 	// imp is the installed fault model (nil = perfect network); linkSeq
 	// counts packets per directed link, keying the impairment PRNG; and
@@ -235,7 +206,6 @@ func NewCluster(n int, p Params) (*Cluster, error) {
 	}
 	c := &Cluster{Eng: sim.NewEngine(), P: p}
 	c.deliveredCall = c.runDelivered
-	c.onDeliveredCall = c.runOnDelivered
 	c.Nodes = make([]*Node, n)
 	for i := range c.Nodes {
 		c.Nodes[i] = &Node{
@@ -249,6 +219,10 @@ func NewCluster(n int, p Params) (*Cluster, error) {
 	}
 	return c, nil
 }
+
+// Run executes the simulation to completion and returns the final simulated
+// time.
+func (c *Cluster) Run() sim.Time { return c.Eng.Run() }
 
 // Reset returns the cluster to its post-construction state so one cluster
 // can serve an entire measurement sweep instead of a single point: the
@@ -292,21 +266,6 @@ func (c *Cluster) ResetCore() {
 		n.sendSeq = 0
 	}
 	c.Rec.Reset()
-	c.resetEngineState()
-	// An LP root cascades into every shard, so reset == fresh holds at any
-	// partition count: shard clocks, sequence counters, per-link impairment
-	// sequence numbers, and outboxes all restart exactly as construction
-	// leaves them.
-	for _, s := range c.shards {
-		s.resetEngineState()
-	}
-}
-
-// resetEngineState restarts one engine's share of the transport state —
-// clock/queue/sequence, message IDs, statistics, impairment link counters,
-// fault counters, quarantine, and cross-shard outbox. Node hardware and the
-// recorder are shared across shards and reset by ResetCore itself.
-func (c *Cluster) resetEngineState() {
 	c.Eng.Reset()
 	c.nextID = 0
 	c.MessagesSent = 0
@@ -321,15 +280,12 @@ func (c *Cluster) resetEngineState() {
 		c.recycleMessage(m)
 	}
 	c.quarantine = c.quarantine[:0]
-	c.outbox = c.outbox[:0]
 }
 
-// NextID returns a fresh message ID, unique across the whole cluster: each
-// shard counts in its own idBase-tagged range (serial clusters count from
-// zero, unchanged).
+// NextID returns a fresh message ID, unique across the cluster.
 func (c *Cluster) NextID() uint64 {
 	c.nextID++
-	return c.idBase | c.nextID
+	return c.nextID
 }
 
 // msgWalk drives the packet injections of one message through the engine as
@@ -413,14 +369,6 @@ func (c *Cluster) runDelivered(a any) {
 	m.Delivered(m.DeliveredArg, c.Eng.Now())
 }
 
-// runOnDelivered is the ScheduleCall dispatcher behind Message.OnDelivered.
-// The callback itself rides as the event argument (a func value is
-// pointer-shaped, so boxing it allocates nothing), captured at schedule
-// time so firing never re-reads the — by then possibly recycled — message.
-func (c *Cluster) runOnDelivered(a any) {
-	a.(func(sim.Time))(c.Eng.Now())
-}
-
 func (c *Cluster) allocPacket() *Packet {
 	if n := len(c.pktFree); n > 0 {
 		p := c.pktFree[n-1]
@@ -440,16 +388,7 @@ func (c *Cluster) freePacket(p *Packet) {
 // matching. The caller is responsible for charging CPU overhead (o) or DMA
 // fetch time before ready, depending on where the data originates; Send
 // models only the wire and the receive-side matching hardware.
-//
-// Send routes to the source node's owning cluster: itself when serial, the
-// source's shard in LP mode (where the caller must already be executing on
-// that shard's engine).
 func (c *Cluster) Send(ready sim.Time, msg *Message) {
-	c.Nodes[msg.Src].cluster.send(ready, msg)
-}
-
-// send is the owning-shard half of Send. c is the source node's cluster.
-func (c *Cluster) send(ready sim.Time, msg *Message) {
 	if msg.ID == 0 {
 		msg.ID = c.NextID()
 	}
@@ -498,9 +437,7 @@ func (c *Cluster) send(ready sim.Time, msg *Message) {
 		// Reserve this message's block of per-link packet sequence numbers
 		// at Send time: the fault verdict for packet i depends only on how
 		// many packets the link carried before this message, which is itself
-		// a pure function of the traffic pattern. A link's traffic always
-		// originates at the source's shard, so the per-shard counters count
-		// exactly as the serial ones do.
+		// a pure function of the traffic pattern.
 		k := linkKey(msg.Src, msg.Dst)
 		impSeq = c.linkSeq[k]
 		c.linkSeq[k] += uint64(n)
@@ -510,29 +447,13 @@ func (c *Cluster) send(ready sim.Time, msg *Message) {
 	}
 	stamp := c.Eng.Now()
 	// The walk's priority key: (source send count, source rank), unique per
-	// message and derived only from the node's own traffic history — so two
-	// walks that tie on (arrival, stamp) order identically whether their
-	// events share one engine (serial) or meet across an LP window barrier,
-	// where engine sequence numbers are incomparable. Rank fits 16 bits by
-	// topology validation (a fat tree's host count is far below 64k).
+	// message. Among events stamped at one instant and due together, plain
+	// events (pri 0) run before packet walks, and walks run in this key's
+	// order rather than scheduling order; the sim package doc records the
+	// outputs that change without it. Rank fits 16 bits by topology
+	// validation (a fat tree's host count is far below 64k).
 	src.sendSeq++
 	pri := src.sendSeq<<16 | uint64(msg.Src)
-	if dc := dst.cluster; dc != c {
-		// Cross-LP send: the packets must be delivered by the destination
-		// shard's engine. Park the fully computed walk parameters in this
-		// shard's outbox; the window barrier injects them into the
-		// destination engine (Cluster.flush), which is safe because
-		// firstArrival >= now + cross-shard latency >= window bound.
-		if msg.Delivered != nil || msg.OnDelivered != nil {
-			panic("netsim: cross-LP send with a Delivered/OnDelivered callback (the source engine cannot observe destination-side completion)")
-		}
-		c.outbox = append(c.outbox, crossSend{
-			dst: dc, dstNode: dst, msg: msg, length: msg.Length, n: n,
-			arr: firstArrival, stamp: stamp, pri: pri,
-			occFull: occFull, occLast: occLast, impSeq: impSeq,
-		})
-		return
-	}
 	w := c.allocWalk()
 	*w = msgWalk{c: c, dst: dst, msg: msg, length: msg.Length, n: n,
 		seq0: c.Eng.ReserveSeq(n), stamp: stamp, pri: pri, arr: firstArrival,
@@ -540,11 +461,6 @@ func (c *Cluster) send(ready sim.Time, msg *Message) {
 	c.Eng.ScheduleCallSeq(firstArrival, stamp, pri, w.seq0, walkDeliver, w)
 	if msg.Delivered != nil {
 		c.Eng.ScheduleCall(lastInjected, c.deliveredCall, msg)
-	} else if msg.OnDelivered != nil {
-		// Same instant, same single sequence number as the closure form this
-		// replaces, so simulated output is untouched (determinism contract
-		// clause 1); the pre-bound dispatcher just drops the per-send closure.
-		c.Eng.ScheduleCall(lastInjected, c.onDeliveredCall, msg.OnDelivered)
 	}
 }
 

@@ -157,13 +157,7 @@ func (e *heapEngine) RunUntil(t Time) {
 	}
 }
 
-func (e *heapEngine) RunBefore(bound Time) {
-	for len(e.events) > 0 && e.events[0].at < bound {
-		e.Step()
-	}
-}
-
-func (e *heapEngine) NextEventTime() (Time, bool) {
+func (e *heapEngine) peek() (Time, bool) {
 	if len(e.events) == 0 {
 		return 0, false
 	}

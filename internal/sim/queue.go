@@ -5,16 +5,8 @@ import "math/bits"
 // queue is the engine's event queue: a monotone radix queue over one slot
 // slab.
 //
-// Events pop in the order (at, stamp, pri, seq). The stamp and priority
-// exist for the parallel-DES mode (see Windows): an event migrated onto an
-// engine at a window barrier gets a fresh local seq, so seq values cannot be
-// compared across engines — instead, migratable events carry a priority key
-// derived from simulation-visible state (netsim uses the source node's send
-// counter), identical no matter which engine schedules them. Plain Schedule/
-// ScheduleCall events have pri 0 and win every tie against keyed events,
-// again identically in serial and parallel runs; between two pri-0 events
-// the seq tie-break is sound because such events are always scheduled by
-// the same logical process in the same relative order in either mode.
+// Events pop in the order (at, stamp, pri, seq); why stamp and pri sit
+// between the deadline and the sequence number is in the package doc.
 //
 // Every pending deadline is >= last, the deadline of the last dispatched
 // event, because the engine never schedules before its clock. Radix bucket

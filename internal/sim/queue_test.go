@@ -19,10 +19,12 @@ type engineAPI interface {
 	Step() bool
 	Run() Time
 	RunUntil(t Time)
-	RunBefore(bound Time)
-	NextEventTime() (Time, bool)
+	peek() (Time, bool)
 	Reset()
 }
+
+// peek exposes the queue's next deadline to the op scripts.
+func (e *Engine) peek() (Time, bool) { return e.q.peek() }
 
 // obs is one observation of an engine under a script: an event firing
 // (id >= 0) or the engine state after an op (id < 0).
@@ -144,10 +146,10 @@ func (d *player) claim(r int, t Time) {
 }
 
 // fillGap schedules events between the clock and the next pending
-// deadline: after a RunUntil or RunBefore stop, a queue whose peek moved
+// deadline: after a RunUntil or runBefore stop, a queue whose peek moved
 // its internal base past the clock would misfile them.
 func (d *player) fillGap() {
-	next, ok := d.e.NextEventTime()
+	next, ok := d.e.peek()
 	now := d.e.Now()
 	if !ok || next <= now {
 		return
@@ -159,8 +161,17 @@ func (d *player) fillGap() {
 	}
 }
 
+// runBefore steps every event due strictly before bound and leaves the
+// clock at the last one run, unlike RunUntil, so a later op may schedule
+// anywhere between that clock and the next deadline.
+func (d *player) runBefore(bound Time) {
+	for next, ok := d.e.peek(); ok && next < bound; next, ok = d.e.peek() {
+		d.e.Step()
+	}
+}
+
 func (d *player) observe() {
-	next, ok := d.e.NextEventTime()
+	next, ok := d.e.peek()
 	d.log = append(d.log, obs{at: d.e.Now(), id: -1 << 62, pending: d.e.Pending(), next: next, hasNext: ok})
 }
 
@@ -198,7 +209,7 @@ func (d *player) run() []obs {
 			d.e.RunUntil(d.at(delay(d.byte())))
 			d.fillGap()
 		case 7:
-			d.e.RunBefore(d.at(delay(d.byte())))
+			d.runBefore(d.at(delay(d.byte())))
 			d.fillGap()
 		case 8:
 			if d.byte()%8 == 0 {
@@ -249,8 +260,9 @@ func compareScript(t *testing.T, script []byte, afterOp func(*Engine, *player)) 
 // 4-ary heap with the same randomized op scripts — closure, pre-bound and
 // reserved-sequence scheduling with non-zero priorities, same-instant
 // bursts, zero-delay scheduling from callbacks, deadlines up to 2^62 ps,
-// RunUntil/RunBefore stops followed by scheduling below the next deadline,
-// and Resets with events pending — and requires identical pop sequences.
+// RunUntil and runBefore stops followed by scheduling below the next
+// deadline, and Resets with events pending — and requires identical pop
+// sequences.
 func TestRadixQueueMatchesHeapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var buckets uint64

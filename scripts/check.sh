@@ -30,11 +30,10 @@ echo "== simlint =="
 # a function of the seed), maporder (no nondeterministic map iteration),
 # noclosuresched (pooled ScheduleCall over per-event closures), poolretain
 # (pooled transport objects stay with their owner packages), pkgdoc
-# (every package documents its role), lpowner (shard-owned LP state stays
-# with its owning receiver), and — over the module call graph — servebound
-# (no engine call reachable from an HTTP handler), hotalloc (no allocation
-# site reachable from an event-dispatch root), staledirective (every
-# annotation still suppresses something). The run is timed: the whole
+# (every package documents its role), and — over the module call graph —
+# servebound (no engine call reachable from an HTTP handler), hotalloc (no
+# allocation site reachable from an event-dispatch root), staledirective
+# (every annotation still suppresses something). The run is timed: the whole
 # suite, call-graph construction included, must finish within 5 seconds so
 # linting stays cheap enough to gate every merge.
 lint_start=$(date +%s)
@@ -58,8 +57,8 @@ echo "== go test =="
 go test ./...
 
 echo "== sweep determinism smoke (fresh vs Reset-reuse vs parallel) =="
-# Byte-equality across the from-scratch, serial-reuse, and sharded-parallel
-# runners for every reuse mechanism: fig3b/fig5a (cluster cache), table5c
+# Byte-equality across the from-scratch, serial-reuse, and pooled runners
+# for every reuse mechanism: fig3b/fig5a (cluster cache), table5c
 # (mpisim engine cache), spc (raidsim system cache). A nondeterministic
 # merge or a state field missed by a Reset fails here before it can corrupt
 # a figure.
@@ -70,14 +69,10 @@ go test -count=1 -run 'TestSweepResetAndParallelDeterminism' ./internal/bench
 go test -count=1 -run 'TestImpairedSweepDeterminism' ./internal/bench
 # Experiment-level concurrency in spinbench must match serial stdout.
 go test -count=1 -run 'TestSerialVsConcurrentExperimentsByteIdentical' ./cmd/spinbench
-
-echo "== LP equivalence (conservative parallel DES vs serial) =="
-# Randomized scales/seeds/impairments at -lp 2/4/7 must produce CSV and
-# fault counters byte-identical to serial; the lookahead-safety property
-# tests audit the conservative invariant on adversarial topologies.
-go test -count=1 -run 'TestLPEquivalenceRandomized' ./internal/bench
-go test -count=1 -run 'TestWindowsConservativeInvariant' ./internal/sim
-go test -count=1 -run 'TestLPMatchesSerialAdversarial' ./internal/netsim
+# The shapes above agree with each other; this pins their absolute bytes.
+# Table 5c's CSV and fault counters at scale 8, plain and lossy, must hash
+# to the recorded SHA-256, which holds the (at, stamp, pri, seq) order.
+go test -count=1 -run 'TestTable5cOrderGolden' ./internal/bench
 
 echo "== impairment-grammar fuzz smoke (FuzzParseImpairment, 5s) =="
 # Short native-fuzz pass over the -impair spec parser: never panics, and
@@ -91,7 +86,7 @@ echo "== event-queue order fuzz smoke (FuzzEngineOrder, 5s) =="
 # kept as the reference in internal/sim/heapref_test.go.
 go test -run '^$' -fuzz 'FuzzEngineOrder' -fuzztime 5s ./internal/sim
 
-echo "== alloc budgets (engine schedule / transport / retransmit / Table5c / Table5cLP / Fig5a / SPC) =="
+echo "== alloc budgets (engine schedule / transport / retransmit / Table5c / Fig5a / SPC) =="
 # Ceilings from BENCH_core.json: 0 allocs per schedule+dispatch, <= 7 per
 # 256-packet message, 0 per lossy reliable put in steady state, the
 # post-program-pooling Table 5c budget, the post-triggered-op-pooling

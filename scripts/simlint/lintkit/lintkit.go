@@ -16,7 +16,6 @@
 //	//simlint:wallclock-ok <reason>   (nowallclock)
 //	//simlint:unordered-ok <reason>   (maporder)
 //	//simlint:servebound-ok <reason>  (servebound)
-//	//simlint:lpowner-ok <reason>     (lpowner)
 //	//simlint:alloc-ok <reason>       (hotalloc)
 //
 // A directive suppresses its analyzer on its own line and the line

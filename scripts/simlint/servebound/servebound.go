@@ -111,14 +111,14 @@ func engineEntry(fn *types.Func) bool {
 	switch strings.TrimPrefix(pkg.Path(), prefix) {
 	case "sim":
 		if isMethod {
-			return recvName == "Engine" || recvName == "Windows"
+			return recvName == "Engine"
 		}
-		return fn.Name() == "NewEngine" || fn.Name() == "NewWindows"
+		return fn.Name() == "NewEngine"
 	case "netsim":
 		if isMethod {
 			return recvPkg == pkg.Path() && (recvName == "Cluster" || recvName == "Node")
 		}
-		return fn.Name() == "NewCluster" || fn.Name() == "NewClusterLP"
+		return fn.Name() == "NewCluster"
 	case "mpisim":
 		if isMethod {
 			return recvName == "Engine"

@@ -1,9 +1,9 @@
-// Package simlint assembles the repository's analyzer suite: ten
+// Package simlint assembles the repository's analyzer suite: nine
 // lintkit analyzers, each enforcing one normative clause of
 // ARCHITECTURE.md mechanically instead of by prose and post-hoc golden
 // diffs — six per-package checks plus the call-graph analyzers
-// (servebound, hotalloc), the LP shard-ownership check (lpowner), and
-// the suppression-inventory audit (staledirective). cmd/simlint runs the
+// (servebound, hotalloc) and the suppression-inventory audit
+// (staledirective). cmd/simlint runs the
 // whole suite (`go run ./cmd/simlint ./...`, wired into make lint,
 // scripts/check.sh, and CI); the repo-wide smoke test in this package
 // keeps `go test ./...` failing on any new violation even when the lint
@@ -13,7 +13,6 @@ package simlint
 import (
 	"repro/scripts/simlint/hotalloc"
 	"repro/scripts/simlint/lintkit"
-	"repro/scripts/simlint/lpowner"
 	"repro/scripts/simlint/maporder"
 	"repro/scripts/simlint/noclosuresched"
 	"repro/scripts/simlint/nosyncpool"
@@ -30,7 +29,6 @@ import (
 // suite order is load-bearing for it.
 func Analyzers() []*lintkit.Analyzer {
 	return []*lintkit.Analyzer{
-		lpowner.Analyzer,
 		maporder.Analyzer,
 		noclosuresched.Analyzer,
 		nosyncpool.Analyzer,
