@@ -120,3 +120,81 @@ func TestImpairedGiveUpSurfacesAsDeadlock(t *testing.T) {
 		t.Fatal("no packets blocked on the dead link")
 	}
 }
+
+// TestLossyResetReclaimsAssemblyRecords replays a lossy exchange, Resets and
+// replays again. Loss quarantines messages mid-assembly with their inflight
+// record still in the Assembly slot; Reset must hand each such record back
+// to its rank's free list, no pooled message may keep a stale slot, and the
+// second replay must match a fresh engine bit for bit.
+func TestLossyResetReclaimsAssemblyRecords(t *testing.T) {
+	im := &netsim.Impairment{Seed: 3, Loss: 0.01}
+	progs := exchange(64*1024, 5*sim.Microsecond, 40)
+	cfg := impairedConfig(SpinMatching, im)
+	cfg.MaxRetries = 64
+	e, err := New(cfg, progs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// A rank's idle size is every record it owns: those free now plus
+	// those stranded on quarantined messages.
+	idle := make([]int, e.Ranks())
+	for i, r := range e.rank {
+		idle[i] = len(r.inflFree)
+	}
+	var stranded []*netsim.Message
+	for _, m := range e.C.Quarantined() {
+		if _, ok := m.Assembly.(*inflight); ok {
+			idle[m.Dst]++
+			stranded = append(stranded, m)
+		}
+	}
+	if len(stranded) == 0 {
+		t.Fatal("no message was quarantined mid-assembly: the replay does not exercise reclamation")
+	}
+	checkIdle := func(when string) {
+		t.Helper()
+		for i, r := range e.rank {
+			if len(r.inflFree) != idle[i] {
+				t.Errorf("%s: rank %d holds %d free inflight records, want its idle size %d", when, i, len(r.inflFree), idle[i])
+			}
+		}
+	}
+
+	if err := e.Reset(progs); err != nil {
+		t.Fatal(err)
+	}
+	checkIdle("after Reset")
+	for _, m := range stranded {
+		if m.Assembly != nil {
+			t.Fatalf("quarantined message %d still carries an assembly record after Reset", m.ID)
+		}
+	}
+	reused, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(cfg, progs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := f.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reused != want || e.C.Faults != f.C.Faults {
+		t.Fatalf("lossy replay after Reset diverged from a fresh engine:\nreset %+v %+v\nfresh %+v %+v", reused, e.C.Faults, want, f.C.Faults)
+	}
+
+	if err := e.Reset(progs); err != nil {
+		t.Fatal(err)
+	}
+	checkIdle("after the second Reset")
+	for n := e.C.PooledMessages(); n > 0; n-- {
+		if m := e.C.AllocMessage(); m.Assembly != nil {
+			t.Fatalf("pooled message carries a stale assembly slot %v", m.Assembly)
+		}
+	}
+}

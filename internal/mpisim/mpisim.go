@@ -151,9 +151,9 @@ type sendReq struct {
 	done bool
 }
 
-// inflight tracks an arriving wire message at the receiver.
+// inflight tracks an arriving wire message at the receiver, in the
+// message's Assembly slot.
 type inflight struct {
-	msg     *netsim.Message
 	arrived int
 	total   int
 	visible sim.Time
@@ -201,8 +201,6 @@ type rank struct {
 	sends []*sendReq
 	recvs []*recvReq
 
-	// inflight assembles wire messages arriving at this rank.
-	inflight map[*netsim.Message]*inflight
 	// rdvPull maps rendezvous ids this rank announced (as sender) to their
 	// completion state; the pull arrives back at this rank and deletes them.
 	rdvPull map[uint64]*sendReq
@@ -279,7 +277,6 @@ func New(cfg Config, programs [][]Op) (*Engine, error) {
 		e.rank[i] = &rank{
 			id: i, eng: e, nc: c,
 			cpu: hostsim.New(c, i, nz), nz: nz, ops: prog,
-			inflight: make(map[*netsim.Message]*inflight),
 			rdvPull:  make(map[uint64]*sendReq),
 			pullWait: make(map[uint64]pullDest),
 			rtsSeen:  make(map[uint64]struct{}),
@@ -310,15 +307,18 @@ func (e *Engine) Reset(programs [][]Op) error {
 	if len(programs) != len(e.rank) {
 		return fmt.Errorf("mpisim: Reset with %d programs on a %d-rank engine", len(programs), len(e.rank))
 	}
+	// Loss can quarantine a message mid-assembly; its inflight record goes
+	// back to the receiving rank before ResetCore recycles the message.
+	for _, m := range e.C.Quarantined() {
+		if fl, ok := m.Assembly.(*inflight); ok {
+			e.rank[m.Dst].freeInflight(fl)
+		}
+	}
 	e.C.ResetCore()
 	e.Res = Result{}
 	for i, r := range e.rank {
-		// The maps' values are owned by the rank-side lists below (or, for
-		// inflight, by the map itself), so free exactly once from the owner.
-		for _, fl := range r.inflight { //simlint:unordered-ok recycle order changes allocation behaviour only; records are zeroed on allocation
-			r.freeInflight(fl)
-		}
-		clear(r.inflight)
+		// The maps' values are owned by the rank-side lists below, so free
+		// exactly once from the owner.
 		clear(r.rdvPull)
 		clear(r.pullWait)
 		clear(r.rtsSeen)

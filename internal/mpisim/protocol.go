@@ -158,29 +158,31 @@ type nodeRecv struct {
 // ReceivePacket implements netsim.Receiver. It runs on the receiving rank's
 // engine and touches only that rank's assembly state.
 func (nr *nodeRecv) ReceivePacket(now sim.Time, pkt *netsim.Packet) {
-	e, r := nr.e, nr.r
-	fl := r.inflight[pkt.Msg]
+	e, r, m := nr.e, nr.r, pkt.Msg
+	visible := now
+	if pkt.Size > 0 {
+		_, visible = e.C.Nodes[r.id].Bus.Write(now, pkt.Size)
+	}
+	fl, _ := m.Assembly.(*inflight)
 	if fl == nil {
+		total := e.C.P.Packets(m.Length)
+		if total == 1 {
+			nr.dispatch(visible, m)
+			return
+		}
 		fl = r.allocInflight()
-		fl.msg = pkt.Msg
-		fl.total = e.C.P.Packets(pkt.Msg.Length)
-		r.inflight[pkt.Msg] = fl
+		fl.total = total
+		m.Assembly = fl
 	}
 	fl.arrived++
-	if pkt.Size > 0 {
-		_, visible := e.C.Nodes[r.id].Bus.Write(now, pkt.Size)
-		if visible > fl.visible {
-			fl.visible = visible
-		}
-	} else if now > fl.visible {
-		fl.visible = now
+	if visible > fl.visible {
+		fl.visible = visible
 	}
 	if fl.arrived < fl.total {
 		return
 	}
-	m := pkt.Msg
-	delete(r.inflight, m)
-	visible := fl.visible
+	m.Assembly = nil
+	visible = fl.visible
 	r.freeInflight(fl)
 	nr.dispatch(visible, m)
 	// The dispatch copied everything it needs (pendingArrival fields,

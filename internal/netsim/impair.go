@@ -487,9 +487,10 @@ func (c *Cluster) impairPacket(w *msgWalk, pkt *Packet, now sim.Time) (at sim.Ti
 // removed a packet after a receiver saw part of the message, or a send-side
 // Delivered event may still reference it — quarantined until the next
 // ResetCore. Quarantine is what keeps loss safe for pooled messages: layers
-// above key per-message state (recvStates, channels, mpisim inflight) by
-// *Message and normally empty it during the final dispatch; when loss
-// prevents that dispatch, reusing the pointer would alias the stale entry.
+// above key per-message state by *Message (recvStates, channels) or keep it
+// in the Assembly slot (mpisim inflight), and normally release it during
+// the final dispatch; when loss prevents that dispatch, reusing the message
+// would alias the stale state.
 func (c *Cluster) packetAccounted(m *Message) {
 	if m.track <= 0 {
 		return

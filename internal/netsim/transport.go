@@ -71,6 +71,14 @@ type Message struct {
 	Delivered    func(arg any, now sim.Time)
 	DeliveredArg any
 
+	// Assembly is the destination receiver's per-message slot: a receiver
+	// that assembles a message from its packets keeps its record here
+	// rather than in a map keyed by *Message. The transport never reads it,
+	// and recycling a pooled message zeroes it. A message that loss
+	// quarantines keeps its slot until ResetCore recycles it, so a receiver
+	// that pools what it stores here reclaims it through Quarantined first.
+	Assembly any
+
 	// buf is the message-owned payload staging buffer (see StageData).
 	// Pooled messages keep its capacity across recycling, so steady-state
 	// payload staging allocates nothing.
@@ -281,6 +289,11 @@ func (c *Cluster) ResetCore() {
 	}
 	c.quarantine = c.quarantine[:0]
 }
+
+// Quarantined returns the pooled messages that loss parked until the next
+// ResetCore (see packetAccounted). The caller must not retain the slice or
+// its messages past ResetCore.
+func (c *Cluster) Quarantined() []*Message { return c.quarantine }
 
 // NextID returns a fresh message ID, unique across the cluster.
 func (c *Cluster) NextID() uint64 {
@@ -560,9 +573,9 @@ func (n *Node) receive(pkt *Packet) {
 // it. Receivers must not retain the pointer past the call. After the LAST
 // packet's dispatch returns, a pooled message is recycled too: the transport
 // owns pooled-message lifetime, and the retention audit (recvStates,
-// channels, core msgs, mpisim inflight — all keyed by *Message and emptied
-// during the final dispatch) guarantees no layer holds the pointer past this
-// instant.
+// channels and core msgs, keyed by *Message, and mpisim's Assembly record —
+// all released during the final dispatch) guarantees no layer holds the
+// pointer past this instant.
 func deliverMatched(a any) {
 	pkt := a.(*Packet)
 	n := pkt.node

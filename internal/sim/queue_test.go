@@ -3,6 +3,10 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -234,14 +238,62 @@ func (d *player) run() []obs {
 	return d.log
 }
 
+// queueProbe records which queue paths an op script reached, so the tests
+// can require that their scripts exercise what they claim to.
+type queueProbe struct {
+	buckets    uint64 // union of the radix bucket masks seen
+	maxRun     int    // longest undrained due run seen after an op
+	midInserts int    // pushes at the run's deadline that landed before its tail
+	reused     int    // Resets whose chunk storage served the next pushes
+	resets     int    // Resets with events pending, as of the last op
+	resetBase  *int32 // chunk storage kept by the last such Reset
+}
+
+// afterOp inspects the engine after every op of the script.
+func (p *queueProbe) afterOp(e *Engine, d *player) {
+	q := &e.q
+	p.buckets |= q.mask
+	p.maxRun = max(p.maxRun, len(q.due)-q.head)
+	if d.resetsPending != p.resets {
+		p.resets = d.resetsPending
+		p.resetBase = nil
+		if cap(q.idx) > 0 {
+			p.resetBase = &q.idx[:1][0]
+		}
+	} else if p.resetBase != nil && len(q.idx) > 0 {
+		if &q.idx[0] == p.resetBase {
+			p.reused++
+		}
+		p.resetBase = nil
+	}
+}
+
+// probedEngine is an Engine whose ScheduleCallSeq reports to its probe when
+// a push at the due run's deadline lands before the run's tail: the
+// sorted-insert path, reached by a reserved sequence number whose older
+// stamp or lower priority orders it ahead of events already due.
+type probedEngine struct {
+	*Engine
+	p *queueProbe
+}
+
+func (e probedEngine) ScheduleCallSeq(at, stamp Time, pri, seq uint64, fn func(any), arg any) {
+	e.Engine.ScheduleCallSeq(at, stamp, pri, seq, fn, arg)
+	if q := &e.q; at == q.last && q.due[len(q.due)-1].seq != seq {
+		e.p.midInserts++
+	}
+}
+
 // compareScript runs script on a fresh Engine and on the 4-ary heap
-// reference and fails at the first difference in their logs.
-func compareScript(t *testing.T, script []byte, afterOp func(*Engine, *player)) *player {
+// reference and fails at the first difference in their logs. A non-nil
+// probe watches the Engine.
+func compareScript(t *testing.T, script []byte, probe *queueProbe) *player {
 	t.Helper()
 	eng := NewEngine()
 	got := &player{e: eng, script: script}
-	if afterOp != nil {
-		got.afterOp = func() { afterOp(eng, got) }
+	if probe != nil {
+		got.e = probedEngine{eng, probe}
+		got.afterOp = func() { probe.afterOp(eng, got) }
 	}
 	want := &player{e: &heapEngine{}, script: script}
 	gl, wl := got.run(), want.run()
@@ -265,32 +317,34 @@ func compareScript(t *testing.T, script []byte, afterOp func(*Engine, *player)) 
 // sequences.
 func TestRadixQueueMatchesHeapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var buckets uint64
-	maxDue, resets, events := 0, 0, 0
-	probe := func(e *Engine, d *player) {
-		buckets |= e.q.mask
-		if len(e.q.due) > maxDue {
-			maxDue = len(e.q.due)
-		}
-	}
+	var p queueProbe
+	resets, events := 0, 0
 	for i := 0; i < 200; i++ {
 		script := make([]byte, 1+rng.Intn(1000))
 		rng.Read(script)
-		d := compareScript(t, script, probe)
+		p.resets, p.resetBase = 0, nil
+		d := compareScript(t, script, &p)
 		resets += d.resetsPending
 		events += d.ids
 	}
 	// The scripts must have exercised what they claim to.
-	if buckets&(1<<63) == 0 {
-		t.Errorf("top radix bucket never used (mask union %#x)", buckets)
+	if p.buckets&(1<<63) == 0 {
+		t.Errorf("top radix bucket never used (mask union %#x)", p.buckets)
 	}
-	if maxDue < 100 {
-		t.Errorf("largest same-instant heap held %d events, want >= 100", maxDue)
+	if p.maxRun < 100 {
+		t.Errorf("longest due run held %d events, want >= 100", p.maxRun)
+	}
+	if p.midInserts == 0 {
+		t.Error("no push at the due run's deadline landed before the run's tail")
 	}
 	if resets == 0 {
 		t.Error("no Reset dropped pending events")
 	}
-	t.Logf("%d events scheduled, %d resets with events pending, max bucket-0 depth %d", events, resets, maxDue)
+	if p.reused == 0 {
+		t.Error("no Reset's chunk storage was reused")
+	}
+	t.Logf("%d events scheduled, %d resets with events pending, %d reused their chunk storage; longest due run %d, %d sorted inserts",
+		events, resets, p.reused, p.maxRun, p.midInserts)
 }
 
 // FuzzEngineOrder decodes its input into an op script (see player.run) and
@@ -307,4 +361,32 @@ func FuzzEngineOrder(f *testing.F) {
 		}
 		compareScript(t, script, nil)
 	})
+}
+
+// TestEngineOrderCorpusReachesSortedInsert requires every seed in
+// testdata/fuzz/FuzzEngineOrder to reach the due run's sorted-insert path,
+// so the short fuzz smoke exercises it whatever the fuzzer's budget.
+func TestEngineOrderCorpusReachesSortedInsert(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzEngineOrder", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no FuzzEngineOrder seed corpus (%v)", err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A corpus file is a version line and one []byte("...") literal.
+		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		lit, ok := strings.CutPrefix(lines[len(lines)-1], "[]byte(")
+		script, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if !ok || err != nil {
+			t.Fatalf("%s: not a []byte seed: %v", f, err)
+		}
+		var p queueProbe
+		compareScript(t, []byte(script), &p)
+		if p.midInserts == 0 {
+			t.Errorf("%s: no push at the due run's deadline landed before its tail", f)
+		}
+	}
 }

@@ -22,10 +22,15 @@
 // The event queue is a monotone radix queue (Ahuja, Mehlhorn, Orlin &
 // Tarjan, JACM 1990) keyed on the deadline relative to the last dispatched
 // one, which simulated time makes legal: no event is scheduled before the
-// clock. Events live in one engine-owned slot slab; radix buckets and the
-// free list are intrusive lists through it, and the events due at the
-// current deadline sit in a small binary heap ordered by (stamp, pri, seq).
-// Popped slots are recycled, so steady-state scheduling allocates nothing.
+// clock. Events live in one engine-owned slot slab. Each radix bucket is an
+// unordered array of slot indices, kept as a chain of fixed-size chunks from
+// one shared chunk slab, so bucket storage stays proportional to the
+// pending events. The events due at the current deadline form the due run,
+// sorted by (stamp, pri, seq) once when a refill builds it and then drained
+// in order. It is no small structure: on Table 5c at scale 4 it holds 34.5
+// events at a pop on average, and one pop in ten comes from a run at least
+// 128 deep. Popped slots and drained chunks are recycled, so steady-state
+// scheduling allocates nothing.
 // Hot callers that would otherwise allocate a fresh closure per event can
 // use ScheduleCall, which carries a pre-bound (func(any), arg) pair instead,
 // and ReserveSeq/ScheduleCallSeq, which let a caller claim a block of
@@ -81,11 +86,15 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
-func NewEngine() *Engine { return &Engine{q: queue{free: nilSlot}} }
+func NewEngine() *Engine {
+	e := &Engine{}
+	e.q.reset()
+	return e
+}
 
 // Reset returns the engine to its post-construction state: clock at zero,
-// sequence counter at zero, empty queue. The slot slab and bucket-0 heap
-// keep their capacity, so a reset engine schedules without allocating;
+// sequence counter at zero, empty queue. The slot slab, chunk slab and due
+// run keep their capacity, so a reset engine schedules without allocating;
 // any still-queued events are dropped (their callbacks never run) and
 // their references released. Reset is the engine-level half of the
 // cluster-reuse contract: a reset engine is indistinguishable from a fresh
