@@ -39,6 +39,12 @@ import (
 //     dispatch, NI-pooled EQs/CTs/PT entries, and the Env arenas for
 //     matching entries, child lists, and deposit regions bring it to
 //     ~108k. The 120k budget fails if any of those pools is lost.
+//   - fig5aBytesBudget: bytes allocated by one Fig 5a regeneration at
+//     benchScale. The sPIN columns used to carve a distinct 64 KiB deposit
+//     region per rank (1023 of them at 1024 procs) from an arena regrown
+//     by doubling: ~153 MB/op. The ranks now share one timing-only sink
+//     region (bench.Env.sinkMem), which brings it to ~19 MB/op. The
+//     48 MiB budget fails if per-rank regions come back.
 //   - retransSteadyStateBudget: the reliable-put retransmit loop — record,
 //     per-attempt message, timer event, ack, and the lost messages
 //     themselves — runs entirely on NI/cluster/engine free lists, so after
@@ -49,6 +55,7 @@ const (
 	table5cBudget            = 150_000
 	spcBudget                = 15_000
 	fig5aBudget              = 120_000
+	fig5aBytesBudget         = 48 << 20
 	retransSteadyStateBudget = 0
 )
 
@@ -152,6 +159,9 @@ func TestAllocBudgets(t *testing.T) {
 		})
 		if got := res.AllocsPerOp(); got > fig5aBudget {
 			t.Errorf("Fig5a regeneration = %d allocs/op, budget %d", got, fig5aBudget)
+		}
+		if got := res.AllocedBytesPerOp(); got > fig5aBytesBudget {
+			t.Errorf("Fig5a regeneration = %d B/op, budget %d", got, fig5aBytesBudget)
 		}
 	})
 

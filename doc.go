@@ -95,11 +95,32 @@
 //     loop charges — per-block arithmetic, per-descriptor issue cost, one
 //     bus reservation per transaction — so simulated time is
 //     bit-identical by construction; only the simulator-side work went
-//     away. The complementary sim.Intervals fast paths (binary-search scan
-//     start, max-gap upper bound for tail placement) return exactly what
+//     away. The complementary sim.Intervals fast paths (scan start found
+//     from the tail, max-gap upper bound for tail placement) return exactly what
 //     the naive first-fit scan returns. Together: fig7a ~60x wall-clock,
 //     0 allocs per scatter (BenchmarkVectorScatter), every printed digit
 //     unchanged.
+//   - HPU issue placement and the deposit sink. Every core.Ctx.Charge
+//     reserves handler instructions on sim.IntervalPool, the NIC's HPU
+//     issue servers, and on the twelve non-Table-5c experiments that pool
+//     took 29% of CPU. AcquireAny now places a request on each server
+//     once, commits the winner's placement without scanning it again, and
+//     stops as soon as a server can start at earliest (no later server
+//     can beat that, and ties go to the lower index); the scan start is
+//     found by galloping back from the tail, where requests land. The
+//     placement is exact, pinned against naive first-fit servers
+//     (TestIntervalPoolMatchesNaive, FuzzIntervalPlacement):
+//     BenchmarkIntervalPoolCharge went from ~130 to ~47 ns per AcquireAny
+//     at 0 allocs/op on a 2-core Xeon. Separately, the timing-only deposit
+//     targets of Fig 5a, the broadcast ablations and Fig 7a share one
+//     grow-only sink region per bench.Env (Env.sinkMem) instead of a
+//     zeroed region per rank, so a Fig 5a regeneration allocates ~20 MB
+//     instead of ~153 MB. Fig 5a went from ~168 to ~104 ms and Fig 7a from
+//     ~103 to ~69 ms (BenchmarkFig5a/Fig7a at benchScale). bench.Env also
+//     caches clusters by configuration alone and installs each point's
+//     fault model on hand-out, so unseen impairment seeds no longer add
+//     clusters (perfbench serve-mix: ~0.11 MB allocated per request, down
+//     from ~0.29 MB).
 //   - Closure-free triggered operations. TriggeredPut/TriggeredGet used to
 //     arm one closure per operation (and panic from inside the event loop
 //     if the arguments could never fire). Armed operations are now pooled

@@ -83,14 +83,18 @@ func ftbcastPoint(e *Env, p netsim.Params, nprocs, msgs int) ([]string, error) {
 	// sweeps, measure latency rather than flow-control drops.
 	p.FlowDeadline = 10 * sim.Millisecond
 	e.resetScratch()
-	c, nis, err := e.cluster(nprocs, p)
+	// The built-in fault schedule applies only when no cluster-wide model
+	// is given: an explicit -impair model wins.
+	var im *netsim.Impairment
+	if e != nil {
+		im = e.impair
+	}
+	if im == nil {
+		im = ftbcastScenario(nprocs)
+	}
+	c, nis, err := e.clusterUnder(nprocs, p, im)
 	if err != nil {
 		return nil, err
-	}
-	// The built-in fault schedule applies only when no cluster-wide model
-	// is installed: an explicit -impair model wins.
-	if c.Impairment() == nil {
-		c.SetImpairment(ftbcastScenario(nprocs))
 	}
 	red := log2floor(nprocs)
 	delivered := make([]uint64, nprocs)

@@ -168,3 +168,41 @@ func equalStrings(a, b []string) bool {
 	}
 	return true
 }
+
+// TestPoolEnvReinstallsFaultModel runs a sequence of sweeps, each under its
+// own fault model, on one warm pool worker, whose Env hands the same cached
+// clusters to every model, and requires each to reproduce a cold pool's
+// bytes, fault counters and error text. ftbcast installs its built-in
+// fault schedule when no model is given, on clusters of the size and
+// parameters fig5a and bcast-store use; those must still get a perfect
+// network after it.
+func TestPoolEnvReinstallsFaultModel(t *testing.T) {
+	steps := []goldenCase{
+		{"fig3b", 4, "jitter=2us,seed=1"},
+		{"fig3b", 4, "-"},
+		{"fig3b", 4, "loss=0.002,seed=11"},
+		{"fig3b", 4, "jitter=2us,seed=2"},
+		{"ftbcast", 1, "-"},
+		{"fig5a", 1, "-"},
+		{"bcast-store", 1, "-"},
+		{"ftbcast", 1, "loss=0.01,jitter=2us,seed=7"},
+		{"ftbcast", 1, "-"},
+	}
+	warm := NewPool(1)
+	defer warm.Close()
+	for _, c := range steps {
+		got, err := goldenDigest(c, warm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold := NewPool(1)
+		want, err := goldenDigest(c, cold)
+		cold.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s on a warm Env: digest %s, cold Env %s", c.key(), got, want)
+		}
+	}
+}

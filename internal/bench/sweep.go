@@ -41,6 +41,9 @@ type Env struct {
 	// each measurement point that uses it.
 	scratch    []byte
 	scratchOff int
+	// sink is the one grow-only deposit region sinkMem hands every
+	// timing-only target, shared and never rewound.
+	sink []byte
 	// kids is the grow-only arena binomialKids carves child lists from,
 	// likewise rewound per point.
 	kids []int
@@ -53,10 +56,12 @@ type Env struct {
 	progs *mpisim.ProgramBuffer
 
 	// impair is the fault model installed on every cluster and mpisim
-	// engine this Env hands out (nil = perfect network). It joins the cache
-	// keys — an impaired cluster must never be reused for an unimpaired
-	// point or vice versa — and survives Reset, so reuse replays the exact
-	// same fault schedule. raidsim is deliberately excluded: the storage
+	// engine this Env hands out (nil = perfect network). A cached cluster
+	// gets the model installed afresh each time it is handed out, which
+	// restarts its fault schedule exactly as construction does, so clusters
+	// are cached by configuration alone. mpisim engines derive retry
+	// settings from the model at construction, so the model joins their
+	// cache key. raidsim is deliberately excluded: the storage
 	// service has no recovery layer, so impairing it would only wedge
 	// replays.
 	impair *netsim.Impairment
@@ -79,10 +84,9 @@ type Env struct {
 // Params that describe the same fat tree share a cached cluster even when
 // built by separate netsim.Integrated()/Discrete() calls.
 type envKey struct {
-	n      int
-	p      netsim.Params // Topo cleared; represented by topo below
-	topo   fattree.Topology
-	impair string // canonical impairment key (netsim.Impairment.Key)
+	n    int
+	p    netsim.Params // Topo cleared; represented by topo below
+	topo fattree.Topology
 }
 
 type envCluster struct {
@@ -100,14 +104,31 @@ func NewEnv() *Env {
 }
 
 // cluster returns a cluster of n nodes with parameters p, plus its Portals
-// interfaces. On a nil Env (or the first request for a configuration) it
-// builds one; afterwards the cached cluster is returned reset.
+// interfaces, under the Env's fault model. On a nil Env (or the first
+// request for a configuration) it builds one; afterwards the cached cluster
+// is returned reset.
 func (e *Env) cluster(n int, p netsim.Params) (*netsim.Cluster, []*portals.NI, error) {
+	var im *netsim.Impairment
+	if e != nil {
+		im = e.impair
+	}
+	return e.clusterUnder(n, p, im)
+}
+
+// clusterUnder is cluster with an explicit fault model (nil = perfect
+// network), installed on every hand-out. A reset cluster with a model
+// installed replays exactly the faults of a fresh one with that model
+// (netsim.Cluster.ResetCore restarts the per-link packet sequences the
+// faults are drawn from), so one cached cluster per configuration serves
+// every model, and an experiment with a built-in fault schedule (ftbcast)
+// never leaves it on a cluster a perfect-network experiment is handed.
+func (e *Env) clusterUnder(n int, p netsim.Params, im *netsim.Impairment) (*netsim.Cluster, []*portals.NI, error) {
 	if e == nil {
 		c, err := netsim.NewCluster(n, p)
 		if err != nil {
 			return nil, nil, err
 		}
+		c.SetImpairment(im)
 		attachTrace(c)
 		return c, portals.Setup(c), nil
 	}
@@ -116,24 +137,25 @@ func (e *Env) cluster(n int, p netsim.Params) (*netsim.Cluster, []*portals.NI, e
 		if err != nil {
 			return nil, nil, err
 		}
-		c.SetImpairment(e.impair)
-		if e.impair != nil {
+		c.SetImpairment(im)
+		if c.Impaired() {
 			e.freshC = append(e.freshC, c)
 		}
 		return c, portals.Setup(c), nil
 	}
-	k := envKey{n: n, p: p, topo: *p.Topo, impair: e.impair.Key()}
+	k := envKey{n: n, p: p, topo: *p.Topo}
 	k.p.Topo = nil
 	if ec, ok := e.clusters[k]; ok {
 		e.faultAcc.Add(ec.c.Faults)
 		ec.c.Reset()
+		ec.c.SetImpairment(im)
 		return ec.c, ec.nis, nil
 	}
 	c, err := netsim.NewCluster(n, p)
 	if err != nil {
 		return nil, nil, err
 	}
-	c.SetImpairment(e.impair)
+	c.SetImpairment(im)
 	ec := &envCluster{c: c, nis: portals.Setup(c)}
 	e.clusters[k] = ec
 	return ec.c, ec.nis, nil
@@ -302,14 +324,15 @@ func (e *Env) allocME() *portals.ME {
 	return me
 }
 
-// hostMem returns an n-byte scratch host-memory region for timing-only
-// MEs, carved from a grow-only per-Env arena instead of allocated per
-// measurement point. Contents are unspecified — callers must be
-// NoData/timing-only. Regions are valid for the current point (until the
-// next resetScratch); several may be live at once (the broadcast sweeps
-// carve one per rank). A nil Env allocates fresh, like every other Env
-// helper. When the arena must grow mid-point, previously carved regions
-// keep the old backing array, so they stay valid and distinct.
+// hostMem returns an n-byte scratch host-memory region, carved from a
+// grow-only per-Env arena instead of allocated per measurement point.
+// Contents are unspecified on return. Regions are valid for the current
+// point (until the next resetScratch) and never alias one another, so a
+// caller may write bytes and read them back later in the point (ftbcast's
+// root payloads are re-read by every retransmission). A nil Env allocates
+// fresh, like every other Env helper. When the arena must grow mid-point,
+// previously carved regions keep the old backing array, so they stay valid
+// and distinct. Deposit targets whose bytes nothing reads use sinkMem.
 func (e *Env) hostMem(n int) []byte {
 	if e == nil {
 		return make([]byte, n)
@@ -327,6 +350,24 @@ func (e *Env) hostMem(n int) []byte {
 	s := e.scratch[e.scratchOff:need:need]
 	e.scratchOff = need
 	return s
+}
+
+// sinkMem returns an n-byte deposit region for timing-only targets: MEs
+// whose deposited bytes no simulated time depends on. Every call returns
+// the start of the same per-Env region, so regions alias each other and
+// their contents are whatever the last writer left. That is safe because
+// the cost of a deposit or forward depends on lengths and offsets, never
+// on the bytes. The region grows geometrically, so a sweep whose deposit
+// size creeps up (fig7a's 8 MiB plus one block) reallocates only a few
+// times. A nil Env allocates fresh.
+func (e *Env) sinkMem(n int) []byte {
+	if e == nil {
+		return make([]byte, n)
+	}
+	if cap(e.sink) < n {
+		e.sink = make([]byte, max(2*cap(e.sink), n))
+	}
+	return e.sink[:n:n]
 }
 
 // programBuffer returns the Env's grow-only mpisim program buffer (nil on

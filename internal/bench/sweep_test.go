@@ -34,11 +34,11 @@ func buildExperiment(t *testing.T, id string) Experiment {
 // behaviour), (b) the serial runner reusing Reset state, and (c) a 4-worker
 // pool. The list covers every reuse mechanism: fig3b
 // and fig5a exercise the cluster cache, table5c the mpisim engine cache,
-// spc the raidsim system cache, and fig7a the non-zeroed Env.hostMem
-// scratch region plus the vectorized scatter path (both columns, so the
-// sPIN column's bit-identity contract is pinned here too — since PR 5's
-// vectorized scatter it runs at the common subsample in well under a
-// second). scripts/check.sh runs this test as the merge gate — a
+// spc the raidsim system cache, and fig7a the shared, never-zeroed
+// Env.sinkMem deposit region plus the vectorized scatter path (both
+// columns, so the sPIN column's bit-identity contract is pinned here too —
+// since PR 5's vectorized scatter it runs at the common subsample in well
+// under a second). scripts/check.sh runs this test as the merge gate — a
 // nondeterministic merge or a stale field missed by a Reset shows up here
 // as a byte diff.
 func TestSweepResetAndParallelDeterminism(t *testing.T) {

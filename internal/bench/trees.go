@@ -51,7 +51,7 @@ func treeBroadcastTime(e *Env, p netsim.Params, tree handlers.Tree, nprocs, size
 			}
 		})
 		if err := nis[r].MEAppend(0, &portals.ME{
-			Start:     make([]byte, size),
+			Start:     e.sinkMem(size),
 			MatchBits: 7,
 			EQ:        eq,
 			HPUMem:    mem,

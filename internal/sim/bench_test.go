@@ -95,3 +95,58 @@ func BenchmarkPoolAcquire(b *testing.B) {
 		p.AcquireAny(Time(i), 10)
 	}
 }
+
+// BenchmarkIntervalPoolCharge measures one AcquireAny on the HPU issue
+// pool in Fig. 7a's shape: 4 servers of about 2.3k spans each, requests
+// landing within 80 spans of the tail, and server 0 free at earliest for
+// three requests in four (the early stop). The fourth lands inside a
+// server-0 span, so every server is placed. The lists are restored from a
+// template every 128 requests, off the clock, so holes never run out; ns/op
+// is per AcquireAny.
+func BenchmarkIntervalPoolCharge(b *testing.B) {
+	const k, spans, period, reach, batch = 4, 2300, 20, 80, 128
+	p := NewIntervalPool("hpu", k)
+	// Server s holds [i*period+3s, i*period+3s+12): 8-wide holes, staggered
+	// so a time inside a server-0 span is busy on the others too.
+	for s := 0; s < k; s++ {
+		for i := 0; i < spans; i++ {
+			p.Server(s).Acquire(Time(i*period+3*s), 12)
+		}
+	}
+	tmpl := make([]Intervals, k)
+	for s := range tmpl {
+		tmpl[s] = *p.Server(s)
+		tmpl[s].busy = append([]ivSpan(nil), tmpl[s].busy...)
+	}
+	// One batch of requests. Each takes one unit from a server-0 hole, and
+	// no hole gets more than two, so server 0 always wins and a request
+	// aimed at a hole finds it free at exactly earliest.
+	rng := rand.New(rand.NewSource(1))
+	earliest := make([]Time, batch)
+	var fill [reach]Time
+	for j := range earliest {
+		r := (j * 37) % reach
+		base := Time((spans - 1 - r) * period)
+		if rng.Intn(4) == 0 {
+			earliest[j] = base + 5 // inside server 0's span
+		} else {
+			earliest[j] = base + 12 + fill[r] // server 0's hole
+		}
+		fill[r]++
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		j := n % batch
+		if j == 0 && n > 0 {
+			b.StopTimer()
+			for s, sv := range p.servers {
+				busy := append(sv.busy[:0], tmpl[s].busy...)
+				*sv = tmpl[s]
+				sv.busy = busy
+			}
+			b.StartTimer()
+		}
+		p.AcquireAny(earliest[j], 1)
+	}
+}

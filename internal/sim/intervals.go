@@ -1,7 +1,5 @@
 package sim
 
-import "sort"
-
 // Intervals is a unit-capacity resource that accepts reservations in any
 // time order: Acquire finds the earliest gap of the requested width at or
 // after the requested time. The DMA bus needs this: a handler computes for
@@ -15,7 +13,9 @@ import "sort"
 // to the unoptimized resource (the determinism contract depends on it):
 //
 //   - the scan starts at the first span that can interact with the request
-//     (binary search on span end) instead of at the list head;
+//     instead of at the list head, found by galloping back from the tail
+//     (requests land near the frontier, so the bracket is usually small)
+//     and bisecting the bracket;
 //   - maxGapUB is a monotone upper bound on the widest free gap between
 //     reserved spans, so a request wider than every gap skips the scan
 //     entirely and lands at the tail — the steady state of a saturated
@@ -78,7 +78,7 @@ func (iv *Intervals) place(earliest, occupancy Time) (start Time, idx int) {
 	// request nor terminate the scan (their start precedes earliest too),
 	// so the scan may begin at the first span with end > earliest.
 	start = earliest
-	i := sort.Search(n, func(j int) bool { return iv.busy[j].end > earliest }) //simlint:alloc-ok predicate does not escape sort.Search and stays on the stack; the 0 allocs/op gate proves it
+	i := iv.firstEndAfter(earliest)
 	scannedAll := i == 0
 	var widest Time
 	for i < n {
@@ -112,19 +112,50 @@ func (iv *Intervals) place(earliest, occupancy Time) (start Time, idx int) {
 	return start, i
 }
 
-// Peek returns where a reservation would start, without reserving.
-func (iv *Intervals) Peek(earliest, occupancy Time) (start Time) {
-	start, _ = iv.place(earliest, occupancy)
-	return start
+// firstEndAfter returns the index of the first span ending after t, or
+// len(busy) if none does; the list must be non-empty. Span ends ascend, so
+// this is sort.Search's answer, found from the tail: probes at n-1, n-2,
+// n-4, ... bracket the answer in (lo, hi], which is then bisected. The
+// result is exact, so placement never depends on how it was found.
+func (iv *Intervals) firstEndAfter(t Time) int {
+	b := iv.busy
+	hi := len(b) - 1
+	if b[hi].end <= t {
+		return len(b)
+	}
+	// b[hi].end > t throughout; the gallop stops at the first probe lo
+	// with b[lo].end <= t, or once it runs off the head.
+	lo := hi - 1
+	for step := 1; lo >= 0 && b[lo].end > t; step *= 2 {
+		hi = lo
+		lo = hi - 2*step
+	}
+	if lo < -1 {
+		lo = -1
+	}
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if b[mid].end > t {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
 }
 
 // Acquire reserves occupancy at the earliest instant >= earliest with a
 // free gap of that width, and returns the reservation start.
 func (iv *Intervals) Acquire(earliest, occupancy Time) (start Time) {
 	start, i := iv.place(earliest, occupancy)
+	iv.commit(i, start, occupancy)
+	return start
+}
+
+// commit records a reservation that place put at (start, index i).
+func (iv *Intervals) commit(i int, start, occupancy Time) {
 	iv.Busy += occupancy
 	iv.insert(i, ivSpan{start, start + occupancy})
-	return start
 }
 
 // insert places sp at index i, merging with touching neighbors and
@@ -227,15 +258,19 @@ func (p *IntervalPool) Reset() {
 
 // AcquireAny reserves occupancy on the server able to start it earliest
 // (ties toward lower indices) and returns the server index and start time.
+// Each server is placed once and the winner's placement is committed
+// directly. No start precedes earliest, so once the best start equals it no
+// later server can win, and the remaining servers are not visited; that
+// only leaves their maxGapUB looser, which decides speed, never placement.
 func (p *IntervalPool) AcquireAny(earliest, occupancy Time) (idx int, start Time) {
-	best := 0
-	bestStart := p.servers[0].Peek(earliest, occupancy)
-	for i := 1; i < len(p.servers); i++ {
-		if s := p.servers[i].Peek(earliest, occupancy); s < bestStart {
-			best, bestStart = i, s
+	start, at := p.servers[0].place(earliest, occupancy)
+	for i := 1; i < len(p.servers) && start > earliest; i++ {
+		if s, j := p.servers[i].place(earliest, occupancy); s < start {
+			idx, start, at = i, s, j
 		}
 	}
-	return best, p.servers[best].Acquire(earliest, occupancy)
+	p.servers[idx].commit(at, start, occupancy)
+	return idx, start
 }
 
 // Server returns server idx, for utilization queries.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -114,11 +115,18 @@ type naiveIntervals struct {
 }
 
 func (iv *naiveIntervals) acquire(earliest, occupancy Time) Time {
+	start, i := iv.peek(earliest, occupancy)
+	iv.commit(i, start, occupancy)
+	return start
+}
+
+// peek returns where a reservation would start and its insertion index,
+// without reserving.
+func (iv *naiveIntervals) peek(earliest, occupancy Time) (start Time, i int) {
 	if earliest < iv.floor {
 		earliest = iv.floor
 	}
-	start := earliest
-	i := 0
+	start = earliest
 	for i < len(iv.busy) {
 		sp := iv.busy[i]
 		if sp.end <= start {
@@ -131,28 +139,41 @@ func (iv *naiveIntervals) acquire(earliest, occupancy Time) Time {
 		start = sp.end
 		i++
 	}
-	if start != start+occupancy {
-		sp := ivSpan{start, start + occupancy}
-		if i > 0 && iv.busy[i-1].end == sp.start {
-			iv.busy[i-1].end = sp.end
-			if i < len(iv.busy) && iv.busy[i].start == sp.end {
-				iv.busy[i-1].end = iv.busy[i].end
-				iv.busy = append(iv.busy[:i], iv.busy[i+1:]...)
-			}
-		} else if i < len(iv.busy) && iv.busy[i].start == sp.end {
-			iv.busy[i].start = sp.start
-		} else {
-			iv.busy = append(iv.busy, ivSpan{})
-			copy(iv.busy[i+1:], iv.busy[i:])
-			iv.busy[i] = sp
-		}
-		if len(iv.busy) > maxSpans {
-			half := len(iv.busy) / 2
-			iv.floor = iv.busy[half-1].end
-			iv.busy = append(iv.busy[:0], iv.busy[half:]...)
-		}
+	return start, i
+}
+
+// tail returns the end of the last reservation (the floor if none).
+func (iv *naiveIntervals) tail() Time {
+	if len(iv.busy) == 0 {
+		return iv.floor
 	}
-	return start
+	return iv.busy[len(iv.busy)-1].end
+}
+
+// commit records the reservation peek placed at (start, index i).
+func (iv *naiveIntervals) commit(i int, start, occupancy Time) {
+	if start == start+occupancy {
+		return
+	}
+	sp := ivSpan{start, start + occupancy}
+	if i > 0 && iv.busy[i-1].end == sp.start {
+		iv.busy[i-1].end = sp.end
+		if i < len(iv.busy) && iv.busy[i].start == sp.end {
+			iv.busy[i-1].end = iv.busy[i].end
+			iv.busy = append(iv.busy[:i], iv.busy[i+1:]...)
+		}
+	} else if i < len(iv.busy) && iv.busy[i].start == sp.end {
+		iv.busy[i].start = sp.start
+	} else {
+		iv.busy = append(iv.busy, ivSpan{})
+		copy(iv.busy[i+1:], iv.busy[i:])
+		iv.busy[i] = sp
+	}
+	if len(iv.busy) > maxSpans {
+		half := len(iv.busy) / 2
+		iv.floor = iv.busy[half-1].end
+		iv.busy = append(iv.busy[:0], iv.busy[half:]...)
+	}
 }
 
 // TestIntervalsFastPathsMatchNaiveScan drives the optimized Intervals and
@@ -207,4 +228,176 @@ func TestIntervalsFastPathsMatchNaiveScan(t *testing.T) {
 			t.Fatalf("trial %d: FreeAt %d disagrees with frontier %d", trial, iv.FreeAt(), frontier)
 		}
 	}
+}
+
+// naivePool is k naive servers: the reference for IntervalPool. Every
+// server is peeked and the minimum start wins, ties to the lower index.
+type naivePool []*naiveIntervals
+
+func newNaivePool(k int) naivePool {
+	p := make(naivePool, k)
+	for i := range p {
+		p[i] = &naiveIntervals{}
+	}
+	return p
+}
+
+func (p naivePool) acquireAny(earliest, occupancy Time) (idx int, start Time) {
+	start, at := p[0].peek(earliest, occupancy)
+	for i := 1; i < len(p); i++ {
+		if s, j := p[i].peek(earliest, occupancy); s < start {
+			idx, start, at = i, s, j
+		}
+	}
+	p[idx].commit(at, start, occupancy)
+	return idx, start
+}
+
+// chargeScript drives an IntervalPool the way core.Ctx.Charge drives the
+// HPU issue pool: more handler clocks than servers, each charging
+// instruction-sized occupancies at its own (often stale) time, with think
+// gaps that leave holes behind the frontier. earliest is drawn from these
+// shapes:
+//   - the handler's own clock;
+//   - the end or start of one of the last ~64 spans of some server, give or
+//     take one (where the tail gallop brackets its answer);
+//   - the previous earliest again;
+//   - just past the idlest server's tail, which grows every server's list;
+//   - a stale time at or below a server's floor;
+//   - just beyond the frontier.
+type chargeScript struct {
+	rng      *rand.Rand
+	k        int
+	lag      int  // near-tail draws reach back up to lag spans
+	think    Time // handler think gaps are 1 to think
+	clocks   []Time
+	prev     Time
+	frontier Time
+}
+
+func newChargeScript(seed int64, k, lag int, think Time) *chargeScript {
+	return &chargeScript{
+		rng: rand.New(rand.NewSource(seed)), k: k, lag: lag, think: think,
+		clocks: make([]Time, 2*k+3),
+	}
+}
+
+// next returns one request; ref is consulted for span positions only.
+func (c *chargeScript) next(ref naivePool) (h int, earliest, occupancy Time) {
+	r := c.rng
+	h = r.Intn(len(c.clocks))
+	switch x := r.Intn(100); {
+	case x < 15:
+		earliest = c.clocks[h]
+	case x < 40:
+		busy := ref[r.Intn(c.k)].busy
+		if len(busy) == 0 {
+			earliest = c.clocks[h]
+			break
+		}
+		sp := busy[len(busy)-1-r.Intn(min(c.lag, len(busy)))]
+		earliest = sp.end
+		if r.Intn(3) == 0 {
+			earliest = sp.start
+		}
+		earliest += Time(r.Intn(3)) - 1
+	case x < 45:
+		earliest = c.prev
+	case x < 90:
+		// Just past the idlest server's tail: the lower servers are busy
+		// there, so the idlest one takes a new span behind a gap.
+		idle := ref[0].tail()
+		for _, s := range ref[1:] {
+			idle = min(idle, s.tail())
+		}
+		earliest = idle + 1 + Time(r.Int63n(int64(c.think)))
+	case x < 95:
+		earliest = ref[r.Intn(c.k)].floor - Time(r.Intn(2))
+	default:
+		earliest = c.frontier + Time(r.Intn(8))
+	}
+	if earliest < 0 {
+		earliest = 0
+	}
+	switch x := r.Intn(20); {
+	case x < 1:
+		occupancy = 0
+	case x < 3:
+		occupancy = Time(1 + r.Intn(3)) // fills think holes
+	case x < 12:
+		occupancy = Time(8 + r.Intn(17))
+	default:
+		occupancy = Time(30 + r.Intn(170))
+	}
+	c.prev = earliest
+	return h, earliest, occupancy
+}
+
+// placed advances handler h's clock past its reservation.
+func (c *chargeScript) placed(h int, start, occupancy Time) {
+	end := start + occupancy
+	c.clocks[h] = end + 1 + Time(c.rng.Int63n(int64(c.think)))
+	if end > c.frontier {
+		c.frontier = end
+	}
+}
+
+// runChargeScript plays one script against the pool and the reference
+// until every server has pruned (or maxOps), failing on the first
+// disagreement. It returns how many servers pruned and the op count.
+func runChargeScript(t testing.TB, seed int64, k, lag int, think Time, maxOps int) (pruned, ops int) {
+	pool := NewIntervalPool("t", k)
+	ref := newNaivePool(k)
+	c := newChargeScript(seed, k, lag, think)
+	for ops = 0; ops < maxOps; ops++ {
+		h, earliest, occ := c.next(ref)
+		gi, gs := pool.AcquireAny(earliest, occ)
+		wi, ws := ref.acquireAny(earliest, occ)
+		if gi != wi || gs != ws {
+			t.Fatalf("seed %d k %d op %d: AcquireAny(%d, %d) = (server %d, %d), reference (server %d, %d)",
+				seed, k, ops, earliest, occ, gi, gs, wi, ws)
+		}
+		c.placed(h, gs, occ)
+		if ops%256 == 0 {
+			pruned = 0
+			for _, s := range ref {
+				if s.floor > 0 {
+					pruned++
+				}
+			}
+			if pruned == k {
+				break
+			}
+		}
+	}
+	return pruned, ops
+}
+
+// TestIntervalPoolMatchesNaive drives IntervalPool's one-pass placement
+// (with its early stop and tail gallop) and k naive first-fit servers
+// through Charge-shaped scripts and requires every (server, start) to
+// match. Each script runs until every server has pruned its list at
+// maxSpans, so lists hold 2k-4k spans for most of the run.
+func TestIntervalPoolMatchesNaive(t *testing.T) {
+	for _, k := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			t.Parallel()
+			if pruned, ops := runChargeScript(t, int64(k), k, 64, 8, 200_000); pruned != k {
+				t.Errorf("only %d of %d servers reached maxSpans in %d ops", pruned, k, ops)
+			}
+		})
+	}
+}
+
+// FuzzIntervalPlacement runs Charge-shaped scripts of fuzzed seed, pool
+// size (1, 2, 4 or 8 servers), near-tail reach (1-64 spans) and think gap
+// against the naive reference, each until every server has pruned or a
+// cap is hit.
+func FuzzIntervalPlacement(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(63), uint8(7))
+	f.Add(int64(5), uint8(1), uint8(15), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, kSel, lag, think uint8) {
+		k := 1 << (kSel % 4)
+		runChargeScript(t, seed, k, 1+int(lag%64), 1+Time(think%16), 12_000*k)
+	})
 }

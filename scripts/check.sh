@@ -86,6 +86,12 @@ echo "== event-queue order fuzz smoke (FuzzEngineOrder, 5s) =="
 # kept as the reference in internal/sim/heapref_test.go.
 go test -run '^$' -fuzz 'FuzzEngineOrder' -fuzztime 5s ./internal/sim
 
+echo "== HPU placement fuzz smoke (FuzzIntervalPlacement, 5s) =="
+# Short native-fuzz pass over Charge-shaped scripts: IntervalPool's one-pass
+# placement (early stop, tail gallop) must pick exactly the server and start
+# of k naive first-fit servers, across list prunes.
+go test -run '^$' -fuzz 'FuzzIntervalPlacement' -fuzztime 5s ./internal/sim
+
 echo "== alloc budgets (engine schedule / transport / retransmit / Table5c / Fig5a / SPC) =="
 # Ceilings from BENCH_core.json: 0 allocs per schedule+dispatch, <= 7 per
 # 256-packet message, 0 per lossy reliable put in steady state, the
