@@ -24,7 +24,7 @@ import (
 func TestTable5cOrderGolden(t *testing.T) {
 	cases := []struct{ impair, want string }{
 		{"", "5e9bc0602ef62c841a35d3a15bff4ec2c208f17ab77752676f249edb4fdb0e2f"},
-		{"loss=0.002,seed=11", "d5539ff2b29d6cdf136d82f910d170d294de3346a0ff875e45a2f897fd4cc952"},
+		{"loss=0.002,seed=11", "5f3c6b5a649bea5e123c27ccedbc56a55bad3206ff75ca3d3634a6ed5428966c"},
 	}
 	for _, tc := range cases {
 		var im *netsim.Impairment

@@ -15,7 +15,8 @@ import (
 //
 // Determinism is unaffected by which worker dequeues a point: points are
 // hermetic under the reset-equals-fresh contract, Env caches key on
-// (configuration, impairment), and Sweep.Run merges rows in point order.
+// configuration and install the fault model on every hand-out, and
+// Sweep.Run merges rows in point order.
 // The one thing a pool changes is allocation behaviour — a long-lived Env
 // keeps its cluster caches warm across sweeps, which is the service's whole
 // economy (see internal/serve).

@@ -57,13 +57,12 @@ type Env struct {
 
 	// impair is the fault model installed on every cluster and mpisim
 	// engine this Env hands out (nil = perfect network). A cached cluster
-	// gets the model installed afresh each time it is handed out, which
-	// restarts its fault schedule exactly as construction does, so clusters
-	// are cached by configuration alone. mpisim engines derive retry
-	// settings from the model at construction, so the model joins their
-	// cache key. raidsim is deliberately excluded: the storage
-	// service has no recovery layer, so impairing it would only wedge
-	// replays.
+	// or engine gets the model installed afresh each time it is handed out
+	// (an engine's Reset also re-derives its retry settings from it), which
+	// restarts its fault schedule exactly as construction does, so both are
+	// cached by configuration alone. raidsim is deliberately excluded: the
+	// storage service has no recovery layer, so impairing it would only
+	// wedge replays.
 	impair *netsim.Impairment
 	// noCache disables reuse while keeping the impairment plumbing: the
 	// Fresh baseline of impaired determinism tests builds every system
@@ -196,16 +195,16 @@ type mpiKey struct {
 	recvPost sim.Time
 	p        netsim.Params // Topo cleared; represented by topo below
 	topo     fattree.Topology
-	impair   string // canonical impairment key (netsim.Impairment.Key)
 }
 
 // mpiEngine returns a replay engine for cfg primed with the given rank
-// programs. On a nil Env or a noisy config it builds one from scratch;
-// otherwise the cached engine for (rank count, configuration) is returned
-// Reset for the new program set — the replay-engine analogue of cluster.
+// programs, under the Env's fault model. On a nil Env or a noisy config it
+// builds one from scratch; otherwise the cached engine for (rank count,
+// configuration) is returned Reset for the new program set and model — the
+// replay-engine analogue of cluster.
 func (e *Env) mpiEngine(cfg mpisim.Config, progs [][]mpisim.Op) (*mpisim.Engine, error) {
 	if e != nil && e.impair != nil {
-		cfg.Impair = e.impair // retry defaults are filled in by mpisim.New
+		cfg.Impair = e.impair // retry defaults are derived by mpisim.New and Reset
 	}
 	if e == nil || cfg.Noise != nil || e.noCache {
 		eng, err := mpisim.New(cfg, progs)
@@ -217,12 +216,11 @@ func (e *Env) mpiEngine(cfg mpisim.Config, progs [][]mpisim.Op) (*mpisim.Engine,
 	k := mpiKey{
 		n: len(progs), mode: cfg.Mode, eager: cfg.EagerThreshold,
 		recvPost: cfg.RecvPostCost, p: cfg.Params, topo: *cfg.Params.Topo,
-		impair: e.impair.Key(),
 	}
 	k.p.Topo = nil
 	if eng, ok := e.mpis[k]; ok {
 		e.faultAcc.Add(eng.C.Faults)
-		if err := eng.Reset(progs); err != nil {
+		if err := eng.Reset(progs, cfg.Impair); err != nil {
 			return nil, err
 		}
 		return eng, nil
@@ -460,11 +458,11 @@ type RunOptions struct {
 }
 
 // Run executes every point under opts and returns the completed table. On
-// error the earliest-indexed error is returned: the serial shapes stop at
-// their first failing point, and a pooled run finishes every point before
-// choosing. Successful output is byte-identical across all execution
-// shapes: rows merge in point registration order, and each point is an
-// independent simulation under the reset-equals-fresh contract.
+// error the earliest-indexed error is returned. Every shape runs every
+// point, failing or not, so the error and Faults agree across shapes too.
+// Successful output is byte-identical across all execution shapes: rows
+// merge in point registration order, and each point is an independent
+// simulation under the reset-equals-fresh contract.
 func (s *Sweep) Run(opts RunOptions) (*Table, error) {
 	im := opts.Impairment
 	if !im.Enabled() {
@@ -519,9 +517,6 @@ func (s *Sweep) Run(opts RunOptions) (*Table, error) {
 		for i, fn := range s.points {
 			rows[i], errs[i] = fn(e)
 			progress()
-			if errs[i] != nil {
-				break
-			}
 		}
 		s.faults.Add(e.FaultStats())
 	}

@@ -2,9 +2,11 @@ package bench
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/netsim"
 	"repro/internal/noise"
 	"repro/internal/sim"
@@ -223,5 +225,85 @@ func TestImpairedSweepDeterminism(t *testing.T) {
 		if par.Faults() != wantFaults {
 			t.Fatalf("%s: parallel fault counters diverged: %+v vs %+v", tc.id, par.Faults(), wantFaults)
 		}
+	}
+}
+
+// TestSweepShapesAgreeOnFailure runs a sweep whose points fail under a
+// fault model in every execution shape: serial, Fresh and a 2-worker pool
+// must all run every point and report the same first error and the same
+// fault counters. fig5a at scale 4 under 1% loss fails some points and
+// completes others.
+func TestSweepShapesAgreeOnFailure(t *testing.T) {
+	im, err := netsim.ParseImpairment("loss=0.01,jitter=2us,seed=7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp := buildExperiment(t, "fig5a")
+	pool := NewPool(2)
+	defer pool.Close()
+	shapes := []struct {
+		name string
+		opts RunOptions
+	}{
+		{"serial", RunOptions{Impairment: im}},
+		{"fresh", RunOptions{Fresh: true, Impairment: im}},
+		{"pool", RunOptions{Pool: pool, Impairment: im}},
+	}
+	var wantErr string
+	var wantFaults netsim.FaultStats
+	for i, sh := range shapes {
+		s := exp.Build(4)
+		_, err := s.Run(sh.opts)
+		if err == nil {
+			t.Fatalf("%s: fig5a under %s completed; the test needs a failing point", sh.name, im)
+		}
+		if i == 0 {
+			wantErr, wantFaults = err.Error(), s.Faults()
+			continue
+		}
+		if err.Error() != wantErr {
+			t.Errorf("%s: error %q, serial %q", sh.name, err, wantErr)
+		}
+		if s.Faults() != wantFaults {
+			t.Errorf("%s: faults %+v, serial %+v", sh.name, s.Faults(), wantFaults)
+		}
+	}
+}
+
+// TestEnvCachesMpiEnginesByConfiguration replays one small application
+// under a run of never-seen fault seeds, interleaved with perfect-network
+// replays, on one Env. The Env must keep one mpisim engine per
+// configuration (one per matching mode here), however many seeds it has
+// served, and every replay must match a from-scratch build under the same
+// model.
+func TestEnvCachesMpiEnginesByConfiguration(t *testing.T) {
+	a := apps.App{Name: "t", Ranks: 4, Dims: []int{2, 2}, HaloBytes: []int{16384, 16384}, TargetP2PFraction: 0.05}
+	env := NewEnv()
+	for seed := uint64(1); seed <= 6; seed++ {
+		var im *netsim.Impairment
+		if seed%3 != 0 {
+			im = &netsim.Impairment{Seed: seed, Jitter: 5 * sim.Microsecond}
+		}
+		env.impair = im
+		before := env.FaultStats()
+		got, err := RunApp(env, a, 4)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		fresh := NewEnv()
+		fresh.noCache, fresh.impair = true, im
+		want, err := RunApp(fresh, a, 4)
+		if err != nil {
+			t.Fatalf("seed %d fresh: %v", seed, err)
+		}
+		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+			t.Fatalf("seed %d: cached engine diverged from fresh:\ncached %+v\nfresh  %+v", seed, got, want)
+		}
+		if d := env.FaultStats().Sub(before); d != fresh.FaultStats() {
+			t.Fatalf("seed %d: cached engine faults %+v, fresh %+v", seed, d, fresh.FaultStats())
+		}
+	}
+	if n := len(env.mpis); n != 2 {
+		t.Fatalf("Env holds %d mpisim engines after 6 fault models, want one per matching mode (2)", n)
 	}
 }

@@ -62,7 +62,7 @@ func TestImpairedResetBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		freshFaults := e.C.Faults
-		if err := e.Reset(progs); err != nil {
+		if err := e.Reset(progs, im); err != nil {
 			t.Fatal(err)
 		}
 		reused, err := e.Run()
@@ -82,7 +82,12 @@ func TestImpairedResetBitIdentical(t *testing.T) {
 // loses control messages must surface nonzero Retransmits.
 func TestImpairedRetransmitsAreCounted(t *testing.T) {
 	im := &netsim.Impairment{Seed: 2, Loss: 0.25}
-	e, err := New(impairedConfig(SpinMatching, im), exchange(16*1024, sim.Microsecond, 6))
+	cfg := impairedConfig(SpinMatching, im)
+	// A 16 KiB pull attempt (pull + 4 data packets) survives 0.75^5 ≈ 24%
+	// of the time at loss=0.25, so the default 16 resends give up on about
+	// 1% of exchanges. Budget for the loss rate, as the tests above do.
+	cfg.MaxRetries = 64
+	e, err := New(cfg, exchange(16*1024, sim.Microsecond, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +168,7 @@ func TestLossyResetReclaimsAssemblyRecords(t *testing.T) {
 		}
 	}
 
-	if err := e.Reset(progs); err != nil {
+	if err := e.Reset(progs, im); err != nil {
 		t.Fatal(err)
 	}
 	checkIdle("after Reset")
@@ -188,7 +193,7 @@ func TestLossyResetReclaimsAssemblyRecords(t *testing.T) {
 		t.Fatalf("lossy replay after Reset diverged from a fresh engine:\nreset %+v %+v\nfresh %+v %+v", reused, e.C.Faults, want, f.C.Faults)
 	}
 
-	if err := e.Reset(progs); err != nil {
+	if err := e.Reset(progs, im); err != nil {
 		t.Fatal(err)
 	}
 	checkIdle("after the second Reset")
@@ -197,4 +202,132 @@ func TestLossyResetReclaimsAssemblyRecords(t *testing.T) {
 			t.Fatalf("pooled message carries a stale assembly slot %v", m.Assembly)
 		}
 	}
+}
+
+// TestResetReimpairEqualsFresh runs one engine through a sequence of fault
+// models — plain, seed A, plain, seed B — resetting it onto each, and
+// requires every replay to match an engine built fresh with that model:
+// the same Result, fault counters and derived retry settings. Reset must
+// install the model, re-derive the retry defaults and clear every rank's
+// RTO estimator.
+func TestResetReimpairEqualsFresh(t *testing.T) {
+	progs := exchange(64*1024, 5*sim.Microsecond, 6)
+	steps := []*netsim.Impairment{
+		nil,
+		{Seed: 5, Loss: 0.02, Jitter: 2 * sim.Microsecond},
+		nil,
+		{Seed: 6, Jitter: 10 * sim.Microsecond},
+	}
+	for _, mode := range []MatchMode{HostMatching, SpinMatching} {
+		var e *Engine
+		for i, im := range steps {
+			fresh, err := New(impairedConfig(mode, im), progs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Run()
+			if err != nil {
+				t.Fatalf("%v step %d: fresh: %v", mode, i, err)
+			}
+			if e == nil {
+				e = fresh
+				continue
+			}
+			if err := e.Reset(progs, im); err != nil {
+				t.Fatal(err)
+			}
+			if e.Cfg.Impair != im || e.Cfg.RetryTimeout != fresh.Cfg.RetryTimeout || e.Cfg.MaxRetries != fresh.Cfg.MaxRetries {
+				t.Fatalf("%v step %d: reset retry settings %v/%d under %v, fresh %v/%d",
+					mode, i, e.Cfg.RetryTimeout, e.Cfg.MaxRetries, e.Cfg.Impair, fresh.Cfg.RetryTimeout, fresh.Cfg.MaxRetries)
+			}
+			got, err := e.Run()
+			if err != nil {
+				t.Fatalf("%v step %d: reset: %v", mode, i, err)
+			}
+			if got != want || e.C.Faults != fresh.C.Faults {
+				t.Fatalf("%v step %d (%v): reset replay diverged from fresh:\nreset %+v %+v\nfresh %+v %+v",
+					mode, i, im, got, e.C.Faults, want, fresh.C.Faults)
+			}
+			if im != nil && got.Retransmits == 0 && im.Loss > 0 {
+				t.Fatalf("%v step %d: lossy replay without a retransmit does not exercise the estimator", mode, i)
+			}
+		}
+	}
+}
+
+// TestLostAckResendsRTSOnce drops the NIC's ack of the first RTS copy with
+// a link-block window on the return path. The receiver posts its receive
+// long after the RTS arrived, so only the ack can stop the sender: it
+// resends the RTS exactly once, the receiver's NIC acks the duplicate, and
+// the receive matches once. Without acks the sender would resend every
+// RTO until the pull arrives.
+func TestLostAckResendsRTSOnce(t *testing.T) {
+	const size = 64 * 1024
+	progs := [][]Op{
+		{{Kind: OpIsend, Peer: 1, Tag: 1, Size: size}, {Kind: OpWaitAll}},
+		{{Kind: OpCompute, Dur: 200 * sim.Microsecond}, {Kind: OpIrecv, Peer: 0, Tag: 1, Size: size}, {Kind: OpWaitAll}},
+	}
+	// Rank 1 sends nothing before its receive but the ack of the first
+	// RTS, which arrives well inside the window; the duplicate's ack
+	// follows one RTO later, after the window.
+	im := &netsim.Impairment{Blocks: []netsim.LinkBlock{{Src: 1, Dst: 0, Until: 10 * sim.Microsecond}}}
+	for _, mode := range []MatchMode{HostMatching, SpinMatching} {
+		e, err := New(impairedConfig(mode, im), progs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run()
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if e.C.Faults.Blocked != 1 {
+			t.Fatalf("%v: %d packets blocked, want exactly the first ack", mode, e.C.Faults.Blocked)
+		}
+		if res.Retransmits != 1 {
+			t.Fatalf("%v: %d retransmits, want one RTS resend", mode, res.Retransmits)
+		}
+		if e.C.Faults.RetransFails != 0 {
+			t.Fatalf("%v: %d give-ups", mode, e.C.Faults.RetransFails)
+		}
+		snd, rcv := e.rank[0], e.rank[1]
+		// Karn's rule: the only ack answered a resent RTS, so no sample
+		// was taken and the backed-off RTO stands.
+		if snd.srtt != 0 || snd.rto != 2*DefaultRetryTimeout {
+			t.Fatalf("%v: sender srtt %v rto %v, want no sample and a doubled RTO", mode, snd.srtt, snd.rto)
+		}
+		// A second match would have parked the duplicate on the
+		// unexpected queue (or left a posted receive behind).
+		if len(rcv.unexpected) != 0 || len(rcv.posted) != 0 || len(rcv.rtsSeen) != 1 {
+			t.Fatalf("%v: receiver unexpected=%d posted=%d rtsSeen=%d, want one match",
+				mode, len(rcv.unexpected), len(rcv.posted), len(rcv.rtsSeen))
+		}
+	}
+}
+
+// TestRTOEstimator pins the RFC 6298 arithmetic: the first sample sets
+// SRTT = R and RTTVAR = R/2, later ones smooth with α = 1/8 and β = 1/4,
+// RetryTimeout floors the RTO, each timeout doubles it up to maxBackoff ×
+// RetryTimeout, and the next valid sample recomputes it.
+func TestRTOEstimator(t *testing.T) {
+	const us = sim.Microsecond
+	e := &Engine{Cfg: Config{RetryTimeout: 20 * us}}
+	r := &rank{eng: e, rto: e.Cfg.RetryTimeout}
+	check := func(step string, srtt, rttvar, rto sim.Time) {
+		t.Helper()
+		if r.srtt != srtt || r.rttvar != rttvar || r.rto != rto {
+			t.Fatalf("%s: srtt %v rttvar %v rto %v, want %v %v %v", step, r.srtt, r.rttvar, r.rto, srtt, rttvar, rto)
+		}
+	}
+	r.sampleRTT(8 * us)
+	check("first sample", 8*us, 4*us, 24*us)
+	r.sampleRTT(8 * us)
+	check("steady sample", 8*us, 3*us, 20*us) // 8 + 4·3 = 20: at the floor
+	r.sampleRTT(16 * us)
+	check("late sample", 9*us, 4250*sim.Nanosecond, 26*us)
+	for i := 0; i < 10; i++ {
+		r.backoff()
+	}
+	check("backed off to the cap", 9*us, 4250*sim.Nanosecond, maxBackoff*20*us)
+	r.sampleRTT(9 * us)
+	check("sample after backoff", 9*us, 3187500*sim.Picosecond, 21750*sim.Nanosecond)
 }

@@ -87,23 +87,46 @@ type Config struct {
 	// rendezvous-control retry (RetryTimeout defaulted if unset) and forces
 	// every send through the rendezvous protocol, whose control messages
 	// (RTS, pull, data) are all covered by the retry machinery — eager
-	// sends have no recovery path.
+	// sends have no recovery path. Reset may install a different model.
 	Impair *netsim.Impairment
-	// RetryTimeout is how long a rank waits for a rendezvous control
-	// exchange to progress before resending the RTS or pull; 0 disables
-	// retry.
+	// RetryTimeout is the initial and minimum retransmission timeout (RTO)
+	// of a rank's rendezvous control timers; 0 disables retry. Each rank
+	// estimates its RTO from RTS round trips as RFC 6298 does: RTO =
+	// max(RetryTimeout, SRTT + 4·RTTVAR), doubled on every timeout up to
+	// maxBackoff × RetryTimeout and kept doubled until the next valid
+	// sample. An RTS waits one RTO for the peer NIC's ack; a pull waits one
+	// RTO plus the serialization time of the data it asks for.
 	RetryTimeout sim.Time
-	// MaxRetries bounds control-message resends per exchange (defaulted
-	// when retry is enabled). An exchange that exhausts its budget stops
-	// progressing and surfaces as a deadlock from Run.
+	// MaxRetries bounds resends per RTS and per pull (16 when retry is on
+	// and it is unset). An exchange that exhausts its budget stops
+	// progressing and surfaces as a deadlock from Run. An acked RTS spends
+	// no more of it, however long the receiver takes to post its receive.
 	MaxRetries int
 }
 
-// DefaultRetryTimeout is the rendezvous-control retry interval installed by
-// New when an impairment is configured without an explicit timeout. It
-// comfortably exceeds the round-trip of a control exchange at the paper's
-// parameters.
+// DefaultRetryTimeout is the initial and minimum RTO installed by New (and
+// Reset) when a fault model is configured without an explicit
+// RetryTimeout. It comfortably exceeds the round trip of a control exchange
+// at the paper's parameters; the per-rank estimator raises it when the
+// network's delay does not.
 const DefaultRetryTimeout = 20 * sim.Microsecond
+
+// maxBackoff caps exponential backoff: a rank's RTO never exceeds
+// maxBackoff × RetryTimeout.
+const maxBackoff = 64
+
+// withRetryDefaults fills in the retry settings an impaired replay needs:
+// RetryTimeout under an enabled fault model, MaxRetries whenever retry is
+// on.
+func (cfg Config) withRetryDefaults() Config {
+	if cfg.Impair.Enabled() && cfg.RetryTimeout <= 0 {
+		cfg.RetryTimeout = DefaultRetryTimeout
+	}
+	if cfg.RetryTimeout > 0 && cfg.MaxRetries <= 0 {
+		cfg.MaxRetries = 16
+	}
+	return cfg
+}
 
 // DefaultConfig returns the configuration used for Table 5c.
 func DefaultConfig(mode MatchMode) Config {
@@ -149,6 +172,8 @@ type recvReq struct {
 
 type sendReq struct {
 	done bool
+	// rts is the RTS retry record while the RTS is unacked (retry only).
+	rts *ctlRetry
 }
 
 // inflight tracks an arriving wire message at the receiver, in the
@@ -225,6 +250,12 @@ type rank struct {
 	inflFree []*inflight
 	ctlFree  []*ctlRetry
 
+	// The rank's RFC 6298 retransmission-timeout estimator (retry only):
+	// srtt and rttvar from valid RTS round trips (srtt == 0 means no sample
+	// yet; a round trip is never 0), and rto, the timeout the rank's next
+	// control timer arms with.
+	srtt, rttvar, rto sim.Time
+
 	// Per-rank result counters, folded into Res by Run.
 	messages    uint64
 	copies      uint64
@@ -245,8 +276,13 @@ type rank struct {
 
 // Engine replays rank programs.
 type Engine struct {
-	C    *netsim.Cluster
-	Cfg  Config
+	C *netsim.Cluster
+	// Cfg is the configuration in effect: the one given to New, with the
+	// current fault model and the retry defaults it implies.
+	Cfg Config
+	// base is the configuration exactly as given to New; Reset re-derives
+	// Cfg from it under the new fault model.
+	base Config
 	rank []*rank
 
 	Res Result
@@ -258,16 +294,8 @@ func New(cfg Config, programs [][]Op) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Impair.Enabled() {
-		c.SetImpairment(cfg.Impair)
-		if cfg.RetryTimeout <= 0 {
-			cfg.RetryTimeout = DefaultRetryTimeout
-		}
-	}
-	if cfg.RetryTimeout > 0 && cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 16
-	}
-	e := &Engine{C: c, Cfg: cfg}
+	c.SetImpairment(cfg.Impair)
+	e := &Engine{C: c, Cfg: cfg.withRetryDefaults(), base: cfg}
 	e.rank = make([]*rank, len(programs))
 	for i, prog := range programs {
 		var nz *noise.Model
@@ -280,6 +308,7 @@ func New(cfg Config, programs [][]Op) (*Engine, error) {
 			rdvPull:  make(map[uint64]*sendReq),
 			pullWait: make(map[uint64]pullDest),
 			rtsSeen:  make(map[uint64]struct{}),
+			rto:      e.Cfg.RetryTimeout,
 		}
 		c.Nodes[i].Recv = &nodeRecv{e: e, r: e.rank[i]}
 	}
@@ -291,19 +320,22 @@ func New(cfg Config, programs [][]Op) (*Engine, error) {
 func (e *Engine) Ranks() int { return len(e.rank) }
 
 // Reset returns the engine to its post-construction state for a new program
-// set on the same cluster, so one engine per (rank count, configuration) can
-// serve an entire experiment instead of a single replay. The cluster's
-// transport state (engine clock/queue/sequence, resource busy-until
-// timelines, recorder) restarts via netsim.Cluster.ResetCore; the protocol
-// maps are cleared in place; and all outstanding per-message state returns
-// to the engine's free lists.
+// set on the same cluster, under fault model im (nil = perfect network), so
+// one engine per (rank count, configuration) can serve an entire experiment
+// instead of a single replay, whatever model each replay runs under. The
+// cluster's transport state (engine clock/queue/sequence, resource
+// busy-until timelines, recorder) restarts via netsim.Cluster.ResetCore;
+// im is installed as New installs Config.Impair, and the retry settings
+// and every rank's RTO estimator are re-derived from it; the protocol maps
+// are cleared in place; and all outstanding per-message state returns to
+// the engine's free lists.
 //
 // Determinism contract (mirroring netsim.Cluster.Reset): a reset engine
-// produces bit-identical simulated output to a freshly constructed one for
-// the same programs, because every input to the event order restarts
-// exactly — free-list and map-bucket reuse changes allocation behaviour
-// only, and no simulation path iterates those maps.
-func (e *Engine) Reset(programs [][]Op) error {
+// produces bit-identical simulated output to one freshly constructed with
+// Config.Impair = im for the same programs, because every input to the
+// event order restarts exactly — free-list and map-bucket reuse changes
+// allocation behaviour only, and no simulation path iterates those maps.
+func (e *Engine) Reset(programs [][]Op, im *netsim.Impairment) error {
 	if len(programs) != len(e.rank) {
 		return fmt.Errorf("mpisim: Reset with %d programs on a %d-rank engine", len(programs), len(e.rank))
 	}
@@ -315,6 +347,10 @@ func (e *Engine) Reset(programs [][]Op) error {
 		}
 	}
 	e.C.ResetCore()
+	e.C.SetImpairment(im)
+	cfg := e.base
+	cfg.Impair = im
+	e.Cfg = cfg.withRetryDefaults()
 	e.Res = Result{}
 	for i, r := range e.rank {
 		// The maps' values are owned by the rank-side lists below, so free
@@ -349,6 +385,7 @@ func (e *Engine) Reset(programs [][]Op) error {
 		r.pendingProgress = r.pendingProgress[:0]
 		r.finished = false
 		r.endTime = 0
+		r.srtt, r.rttvar, r.rto = 0, 0, e.Cfg.RetryTimeout
 		r.cpu.Reset(r.nz)
 	}
 	return nil
@@ -395,15 +432,19 @@ func (r *rank) freePA(pa *pendingArrival) { r.paFree = append(r.paFree, pa) }
 
 // ctlRetry tracks one rendezvous control message (RTS or pull) awaiting
 // progress under impairment. The retry timer owns the record: it recycles
-// records whose exchange progressed (the id left its map) and resends and
-// re-arms the rest. Records are engine-owned and closure-free like every
-// other pooled object here; records still referenced by timers dropped in a
-// Reset are abandoned to the GC, matching the engine's dropped-event rule.
+// records whose exchange progressed (an RTS acked or pulled, a pull
+// answered) and resends and re-arms the rest. An ack only marks the record
+// and unlinks it from its sendReq; the timer's next firing recycles it.
+// Records are engine-owned and closure-free like every other pooled object
+// here; records still referenced by timers dropped in a Reset are abandoned
+// to the GC, matching the engine's dropped-event rule.
 type ctlRetry struct {
 	e     *Engine
 	isRTS bool
-	id    uint64 // rendezvous/pull id
-	rnk   *rank  // sender (RTS) or receiver (pull)
+	acked bool     // RTS only: the peer's NIC acked a copy
+	id    uint64   // rendezvous/pull id
+	rnk   *rank    // sender (RTS) or receiver (pull)
+	sent  sim.Time // when the first copy was sent (the RTT sample's start)
 	peer  int
 	tag   uint64
 	size  int
@@ -425,26 +466,64 @@ func (r *rank) freeCtlRetry(cr *ctlRetry) { r.ctlFree = append(r.ctlFree, cr) }
 // retryOn reports whether rendezvous-control retry is active.
 func (e *Engine) retryOn() bool { return e.Cfg.RetryTimeout > 0 && e.C.Impaired() }
 
+// rtoCap is the ceiling of every rank's RTO.
+func (e *Engine) rtoCap() sim.Time { return maxBackoff * e.Cfg.RetryTimeout }
+
+// sampleRTT folds one valid round-trip sample into the rank's estimator
+// (RFC 6298 §2.2-2.3 with α = 1/8 and β = 1/4, in integer picoseconds) and
+// recomputes the RTO from it, which also ends any backoff.
+func (r *rank) sampleRTT(rtt sim.Time) {
+	if r.srtt == 0 {
+		r.srtt, r.rttvar = rtt, rtt/2
+	} else {
+		d := r.srtt - rtt
+		if d < 0 {
+			d = -d
+		}
+		r.rttvar = (3*r.rttvar + d) / 4
+		r.srtt = (7*r.srtt + rtt) / 8
+	}
+	r.rto = min(max(r.eng.Cfg.RetryTimeout, r.srtt+4*r.rttvar), r.eng.rtoCap())
+}
+
+// backoff doubles the rank's RTO after a timeout (RFC 6298 §5.5). It stays
+// doubled until the next valid sample, so a network slower than the RTO
+// still lets an unretransmitted RTS complete and yield one.
+func (r *rank) backoff() { r.rto = min(2*r.rto, r.eng.rtoCap()) }
+
+// timeout is how long the record's exchange may go without progress: the
+// rank's RTO, plus for a pull the serialization time of the data it asks
+// for.
+func (cr *ctlRetry) timeout() sim.Time {
+	if cr.isRTS {
+		return cr.rnk.rto
+	}
+	return cr.rnk.rto + cr.e.C.P.GBytes(cr.size)
+}
+
 // armCtlRetry schedules the retry timer for a control exchange on the
-// arming rank's own engine.
-func (e *Engine) armCtlRetry(now sim.Time, isRTS bool, id uint64, r *rank, peer int, tag uint64, size int) {
+// arming rank's own engine and returns its record.
+func (e *Engine) armCtlRetry(now sim.Time, isRTS bool, id uint64, r *rank, peer int, tag uint64, size int) *ctlRetry {
 	cr := r.allocCtlRetry()
-	cr.isRTS, cr.id, cr.rnk, cr.peer, cr.tag, cr.size = isRTS, id, r, peer, tag, size
-	r.nc.Eng.ScheduleCall(now+e.Cfg.RetryTimeout, runCtlRetry, cr)
+	cr.isRTS, cr.id, cr.rnk, cr.sent, cr.peer, cr.tag, cr.size = isRTS, id, r, now, peer, tag, size
+	r.nc.Eng.ScheduleCall(now+cr.timeout(), runCtlRetry, cr)
+	return cr
 }
 
 // runCtlRetry is the ScheduleCall entry point for a control-retry timeout.
-// It touches only the arming rank's maps and the cluster's fault counters.
+// It touches only the arming rank's maps and estimator and the cluster's
+// fault counters.
 func runCtlRetry(a any) {
 	cr := a.(*ctlRetry)
 	e := cr.e
 	r := cr.rnk
-	// Progress check: an RTS exchange is live while its id is in rdvPull
-	// (the pull's arrival deletes it); a pull is live while its id is in
-	// pullWait (the data's arrival deletes it).
+	// Progress check: an RTS exchange is live until the peer's NIC acks it
+	// or its pull arrives (which deletes the id from rdvPull); a pull is
+	// live while its id is in pullWait (the data's arrival deletes it).
 	var live bool
 	if cr.isRTS {
 		_, live = r.rdvPull[cr.id]
+		live = live && !cr.acked
 	} else {
 		_, live = r.pullWait[cr.id]
 	}
@@ -457,6 +536,9 @@ func runCtlRetry(a any) {
 		// a deadlock from Run, which is the honest outcome of a partitioned
 		// network.
 		r.nc.Faults.RetransFails++
+		if cr.isRTS {
+			r.rdvPull[cr.id].rts = nil // a late ack must not reach the recycled record
+		}
 		r.freeCtlRetry(cr)
 		return
 	}
@@ -475,7 +557,8 @@ func runCtlRetry(a any) {
 	m.HdrData = cr.id
 	m.GetLength = cr.size
 	e.C.DeviceSend(now, m)
-	r.nc.Eng.ScheduleCall(now+e.Cfg.RetryTimeout, runCtlRetry, cr)
+	r.backoff()
+	r.nc.Eng.ScheduleCall(now+cr.timeout(), runCtlRetry, cr)
 }
 
 func (r *rank) allocInflight() *inflight {

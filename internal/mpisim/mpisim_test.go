@@ -162,7 +162,7 @@ func TestResetBitIdenticalToFresh(t *testing.T) {
 			if _, err := e.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.Reset(progs); err != nil {
+			if err := e.Reset(progs, nil); err != nil {
 				t.Fatal(err)
 			}
 			reused, err := e.Run()
@@ -183,7 +183,7 @@ func TestResetRejectsMismatchedRankCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Reset(make([][]Op, 3)); err == nil {
+	if err := e.Reset(make([][]Op, 3), nil); err == nil {
 		t.Fatal("Reset accepted 3 programs on a 2-rank engine")
 	}
 }
@@ -231,7 +231,7 @@ func TestNoiseModelBuiltOncePerRank(t *testing.T) {
 	// And a Reset replay keeps the models without re-invoking the
 	// constructor.
 	before := calls
-	if err := e.Reset(progs); err != nil {
+	if err := e.Reset(progs, nil); err != nil {
 		t.Fatal(err)
 	}
 	res3, err := e.Run()

@@ -41,7 +41,7 @@ func (r *rank) isend(now sim.Time, op Op) sim.Time {
 	rts.GetLength = op.Size
 	coreFree := e.C.HostSend(now, rts)
 	if e.retryOn() {
-		e.armCtlRetry(now, true, id, r, op.Peer, op.Tag, op.Size)
+		sr.rts = e.armCtlRetry(now, true, id, r, op.Peer, op.Tag, op.Size)
 	}
 	return coreFree
 }
@@ -195,6 +195,18 @@ func (nr *nodeRecv) ReceivePacket(now sim.Time, pkt *netsim.Packet) {
 func (nr *nodeRecv) dispatch(at sim.Time, m *netsim.Message) {
 	e, r := nr.e, nr.r
 	switch {
+	case m.Type == netsim.OpAck:
+		// The peer's NIC saw an RTS this rank sent: its timer stops, and the
+		// peer's pull timer drives the exchange from here. Only the ack of
+		// an RTS that was never resent is a valid RTT sample (Karn's rule).
+		if sr := r.rdvPull[m.HdrData]; sr != nil && sr.rts != nil {
+			cr := sr.rts
+			sr.rts = nil
+			cr.acked = true
+			if cr.tries == 0 {
+				r.sampleRTT(at - cr.sent)
+			}
+		}
 	case m.Type == netsim.OpGet:
 		// Rendezvous pull request: this rank is the sender; the NIC reads
 		// the data from host memory and streams it back — no CPU. The pull
@@ -225,6 +237,15 @@ func (nr *nodeRecv) dispatch(at sim.Time, m *netsim.Message) {
 	case m.GetLength > 0:
 		// RTS for a rendezvous send.
 		if e.retryOn() {
+			// The NIC acks every copy, first and resent (Portals ack_req
+			// semantics, no CPU time), so the sender stops resending once
+			// one copy has arrived.
+			ack := r.allocMsg()
+			ack.Type = netsim.OpAck
+			ack.Src = r.id
+			ack.Dst = m.Src
+			ack.HdrData = m.HdrData
+			e.C.DeviceSend(at, ack)
 			// A retransmitted RTS must not match twice: the first copy
 			// already created receive-side state keyed by the same id.
 			if _, dup := r.rtsSeen[m.HdrData]; dup {

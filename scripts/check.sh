@@ -67,6 +67,16 @@ go test -count=1 -run 'TestSweepResetAndParallelDeterminism' ./internal/bench
 # fig3b, lossy ftbcast) must be byte-identical across fresh, Reset-reuse,
 # and parallel runs, fault counters included.
 go test -count=1 -run 'TestImpairedSweepDeterminism' ./internal/bench
+# A sweep with failing points must report the same first error and the
+# same fault counters from every shape: serial, Fresh and pooled runs all
+# run every point.
+go test -count=1 -run 'TestSweepShapesAgreeOnFailure' ./internal/bench
+
+echo "== recovery under delay (Table 5c, scale 8, loss-free impairments) =="
+# On a network that only delays packets, rendezvous recovery must neither
+# give up nor storm: zero give-ups, fewer retransmits than replayed
+# messages, and under 5% of them under plain jitter.
+go test -count=1 -run 'TestTable5cRecoveryUnderDelay' ./internal/bench
 # Experiment-level concurrency in spinbench must match serial stdout.
 go test -count=1 -run 'TestSerialVsConcurrentExperimentsByteIdentical' ./cmd/spinbench
 # The shapes above agree with each other; this pins their absolute bytes.
