@@ -24,7 +24,7 @@ import (
 func TestTable5cOrderGolden(t *testing.T) {
 	cases := []struct{ impair, want string }{
 		{"", "5e9bc0602ef62c841a35d3a15bff4ec2c208f17ab77752676f249edb4fdb0e2f"},
-		{"loss=0.002,seed=11", "5f3c6b5a649bea5e123c27ccedbc56a55bad3206ff75ca3d3634a6ed5428966c"},
+		{"loss=0.002,seed=11", "be0fc2e8b922b6b5dc2d1bd0b64466ad0fd886023757878d854f72424c28b2bd"},
 	}
 	for _, tc := range cases {
 		var im *netsim.Impairment

@@ -82,12 +82,7 @@ func TestImpairedResetBitIdentical(t *testing.T) {
 // loses control messages must surface nonzero Retransmits.
 func TestImpairedRetransmitsAreCounted(t *testing.T) {
 	im := &netsim.Impairment{Seed: 2, Loss: 0.25}
-	cfg := impairedConfig(SpinMatching, im)
-	// A 16 KiB pull attempt (pull + 4 data packets) survives 0.75^5 ≈ 24%
-	// of the time at loss=0.25, so the default 16 resends give up on about
-	// 1% of exchanges. Budget for the loss rate, as the tests above do.
-	cfg.MaxRetries = 64
-	e, err := New(cfg, exchange(16*1024, sim.Microsecond, 6))
+	e, err := New(impairedConfig(SpinMatching, im), exchange(16*1024, sim.Microsecond, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,6 +290,12 @@ func TestLostAckResendsRTSOnce(t *testing.T) {
 		if snd.srtt != 0 || snd.rto != 2*DefaultRetryTimeout {
 			t.Fatalf("%v: sender srtt %v rto %v, want no sample and a doubled RTO", mode, snd.srtt, snd.rto)
 		}
+		// The receiver's pull was answered on its first copy, so its data
+		// was a valid sample: the pull round trip less the data's
+		// serialization time, well under the initial RTO on an idle path.
+		if rcv.srtt <= 0 || rcv.srtt >= DefaultRetryTimeout {
+			t.Fatalf("%v: receiver srtt %v, want one pull->data sample under %v", mode, rcv.srtt, DefaultRetryTimeout)
+		}
 		// A second match would have parked the duplicate on the
 		// unexpected queue (or left a posted receive behind).
 		if len(rcv.unexpected) != 0 || len(rcv.posted) != 0 || len(rcv.rtsSeen) != 1 {
@@ -330,4 +331,71 @@ func TestRTOEstimator(t *testing.T) {
 	check("backed off to the cap", 9*us, 4250*sim.Nanosecond, maxBackoff*20*us)
 	r.sampleRTT(9 * us)
 	check("sample after backoff", 9*us, 3187500*sim.Picosecond, 21750*sim.Nanosecond)
+}
+
+// TestHeavyLossKeepsTimersOffTheCap bounds the simulated time of a lossy
+// exchange. At loss=0.25 a 16 KiB pull attempt (the pull and four data
+// packets) survives only ~24% of the time, so most pulls time out. Those
+// timeouts must not back off the rank's RTO: a rank whose pulls kept
+// doubling it would sit at the maxBackoff cap, and every later RTS and
+// pull of the rank would wait up to maxBackoff × RetryTimeout (1.28 ms).
+// Each replay of six 16 KiB rounds must finish within two capped
+// timeouts.
+func TestHeavyLossKeepsTimersOffTheCap(t *testing.T) {
+	limit := 2 * maxBackoff * DefaultRetryTimeout
+	for _, seed := range []uint64{1, 2, 3} {
+		im := &netsim.Impairment{Seed: seed, Loss: 0.25}
+		e, err := New(impairedConfig(SpinMatching, im), exchange(16*1024, sim.Microsecond, 6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if res.Runtime > limit {
+			t.Fatalf("seed %d: lossy exchange took %v of simulated time, want at most %v", seed, res.Runtime, limit)
+		}
+		for i, r := range e.rank {
+			if r.rto >= e.rtoCap() {
+				t.Fatalf("seed %d: rank %d ended at the RTO cap %v", seed, i, r.rto)
+			}
+		}
+	}
+}
+
+// TestOneWayDelayAdaptsPullTimer streams 20 rendezvous messages one way
+// across a path whose round trip is ten times the initial RTO. The
+// receiver sends no RTS, so its only RTT samples are its pulls' data, and
+// its first pull is resent before that data arrives. Because the data
+// names the pull copy it answers, the first copy's round trip still
+// counts: the receiver's RTO adapts after the first pull, and the stream
+// costs fewer resends than messages. Without the echo (Karn's rule on
+// retransmitted exchanges alone) every pull would be resent every RTO
+// until its data landed.
+func TestOneWayDelayAdaptsPullTimer(t *testing.T) {
+	const msgs = 20
+	var snd, rcv []Op
+	for i := 0; i < msgs; i++ {
+		tag := uint64(i + 1)
+		snd = append(snd, Op{Kind: OpIsend, Peer: 1, Tag: tag, Size: 64 * 1024}, Op{Kind: OpWaitAll})
+		rcv = append(rcv, Op{Kind: OpIrecv, Peer: 0, Tag: tag, Size: 64 * 1024}, Op{Kind: OpWaitAll})
+	}
+	im := &netsim.Impairment{ExtraLatency: 100 * sim.Microsecond}
+	for _, mode := range []MatchMode{HostMatching, SpinMatching} {
+		e, err := New(impairedConfig(mode, im), [][]Op{snd, rcv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run()
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if res.Retransmits >= msgs {
+			t.Fatalf("%v: %d retransmits for %d messages on a loss-free path", mode, res.Retransmits, msgs)
+		}
+		if r := e.rank[1]; r.srtt < 2*im.ExtraLatency || r.rto <= r.srtt {
+			t.Fatalf("%v: receiver srtt %v rto %v, want both above the %v round trip", mode, r.srtt, r.rto, 2*im.ExtraLatency)
+		}
+	}
 }

@@ -91,11 +91,12 @@ type Config struct {
 	Impair *netsim.Impairment
 	// RetryTimeout is the initial and minimum retransmission timeout (RTO)
 	// of a rank's rendezvous control timers; 0 disables retry. Each rank
-	// estimates its RTO from RTS round trips as RFC 6298 does: RTO =
-	// max(RetryTimeout, SRTT + 4·RTTVAR), doubled on every timeout up to
-	// maxBackoff × RetryTimeout and kept doubled until the next valid
-	// sample. An RTS waits one RTO for the peer NIC's ack; a pull waits one
-	// RTO plus the serialization time of the data it asks for.
+	// estimates its RTO from the round trips of first copies (RTS→ack,
+	// pull→data) as RFC 6298 does: RTO = max(RetryTimeout, SRTT + 4·RTTVAR), doubled on every RTS
+	// timeout up to maxBackoff × RetryTimeout and kept doubled until the
+	// next valid sample. An RTS waits one RTO for the peer NIC's ack; a
+	// pull waits one RTO plus the serialization time of the data it asks
+	// for, and its timeouts leave the RTO as it is.
 	RetryTimeout sim.Time
 	// MaxRetries bounds resends per RTS and per pull (16 when retry is on
 	// and it is unset). An exchange that exhausts its budget stops
@@ -200,6 +201,9 @@ type pendingArrival struct {
 type pullDest struct {
 	r  *rank
 	rr *recvReq
+	// pull is the pull's retry record until its budget is spent (retry
+	// only); data answering its first copy is an RTT sample.
+	pull *ctlRetry
 }
 
 // rank is one simulated MPI process. Every mutable field — program state,
@@ -251,9 +255,10 @@ type rank struct {
 	ctlFree  []*ctlRetry
 
 	// The rank's RFC 6298 retransmission-timeout estimator (retry only):
-	// srtt and rttvar from valid RTS round trips (srtt == 0 means no sample
-	// yet; a round trip is never 0), and rto, the timeout the rank's next
-	// control timer arms with.
+	// srtt and rttvar from the RTS→ack and pull→data round trips of first
+	// copies (see sampleRTT; srtt == 0 means no sample yet, a round trip is
+	// never 0),
+	// and rto, the timeout the rank's next control timer arms with.
 	srtt, rttvar, rto sim.Time
 
 	// Per-rank result counters, folded into Res by Run.
@@ -433,17 +438,18 @@ func (r *rank) freePA(pa *pendingArrival) { r.paFree = append(r.paFree, pa) }
 // ctlRetry tracks one rendezvous control message (RTS or pull) awaiting
 // progress under impairment. The retry timer owns the record: it recycles
 // records whose exchange progressed (an RTS acked or pulled, a pull
-// answered) and resends and re-arms the rest. An ack only marks the record
-// and unlinks it from its sendReq; the timer's next firing recycles it.
+// answered) and resends and re-arms the rest. An ack unlinks the record
+// from its sendReq and the pull's data deletes its id from pullWait; the
+// timer's next firing recycles it.
 // Records are engine-owned and closure-free like every other pooled object
 // here; records still referenced by timers dropped in a Reset are abandoned
 // to the GC, matching the engine's dropped-event rule.
 type ctlRetry struct {
 	e     *Engine
 	isRTS bool
-	acked bool     // RTS only: the peer's NIC acked a copy
 	id    uint64   // rendezvous/pull id
 	rnk   *rank    // sender (RTS) or receiver (pull)
+	first uint64   // message ID of the first copy, echoed in its answer
 	sent  sim.Time // when the first copy was sent (the RTT sample's start)
 	peer  int
 	tag   uint64
@@ -471,7 +477,14 @@ func (e *Engine) rtoCap() sim.Time { return maxBackoff * e.Cfg.RetryTimeout }
 
 // sampleRTT folds one valid round-trip sample into the rank's estimator
 // (RFC 6298 §2.2-2.3 with α = 1/8 and β = 1/4, in integer picoseconds) and
-// recomputes the RTO from it, which also ends any backoff.
+// recomputes the RTO from it, which also ends any backoff. A sample is the
+// round trip of an exchange's first copy: the ack of an RTS, and the data
+// of a pull less its serialization time. The answer echoes the message ID
+// of the copy it answers (Message.ReplyTo), so an answer to a resend is
+// never timed from the first copy's send (Karn's rule), while the first
+// copy's own answer still counts after a spurious resend, as RFC 7323
+// timestamps allow. Without that, a rank whose path is slower than its
+// RTO resends every pull and never takes a sample from one.
 func (r *rank) sampleRTT(rtt sim.Time) {
 	if r.srtt == 0 {
 		r.srtt, r.rttvar = rtt, rtt/2
@@ -486,14 +499,17 @@ func (r *rank) sampleRTT(rtt sim.Time) {
 	r.rto = min(max(r.eng.Cfg.RetryTimeout, r.srtt+4*r.rttvar), r.eng.rtoCap())
 }
 
-// backoff doubles the rank's RTO after a timeout (RFC 6298 §5.5). It stays
-// doubled until the next valid sample, so a network slower than the RTO
-// still lets an unretransmitted RTS complete and yield one.
+// backoff doubles the rank's RTO after an RTS timeout (RFC 6298 §5.5). It
+// stays doubled until the next valid sample, so a network slower than the
+// RTO still lets an RTS complete before its timer fires.
 func (r *rank) backoff() { r.rto = min(2*r.rto, r.eng.rtoCap()) }
 
 // timeout is how long the record's exchange may go without progress: the
 // rank's RTO, plus for a pull the serialization time of the data it asks
-// for.
+// for. A pull's timeout does not back the RTO off: the pull is only issued
+// once its RTS has crossed the path, so a pull times out mostly on a lost
+// packet of its data stream, and doubling the rank's RTO for that would
+// slow every other exchange of the rank until the next valid sample.
 func (cr *ctlRetry) timeout() sim.Time {
 	if cr.isRTS {
 		return cr.rnk.rto
@@ -501,11 +517,12 @@ func (cr *ctlRetry) timeout() sim.Time {
 	return cr.rnk.rto + cr.e.C.P.GBytes(cr.size)
 }
 
-// armCtlRetry schedules the retry timer for a control exchange on the
-// arming rank's own engine and returns its record.
-func (e *Engine) armCtlRetry(now sim.Time, isRTS bool, id uint64, r *rank, peer int, tag uint64, size int) *ctlRetry {
+// armCtlRetry schedules the retry timer for a control exchange whose first
+// copy, message first, was sent at now on the arming rank's own engine and
+// returns its record.
+func (e *Engine) armCtlRetry(now sim.Time, isRTS bool, id, first uint64, r *rank, peer int, tag uint64, size int) *ctlRetry {
 	cr := r.allocCtlRetry()
-	cr.isRTS, cr.id, cr.rnk, cr.sent, cr.peer, cr.tag, cr.size = isRTS, id, r, now, peer, tag, size
+	cr.isRTS, cr.id, cr.first, cr.rnk, cr.sent, cr.peer, cr.tag, cr.size = isRTS, id, first, r, now, peer, tag, size
 	r.nc.Eng.ScheduleCall(now+cr.timeout(), runCtlRetry, cr)
 	return cr
 }
@@ -517,13 +534,14 @@ func runCtlRetry(a any) {
 	cr := a.(*ctlRetry)
 	e := cr.e
 	r := cr.rnk
-	// Progress check: an RTS exchange is live until the peer's NIC acks it
-	// or its pull arrives (which deletes the id from rdvPull); a pull is
-	// live while its id is in pullWait (the data's arrival deletes it).
+	// Progress check: an RTS exchange is live while its sendReq still
+	// points at the record (an ack unlinks it; the pull's arrival deletes
+	// the id from rdvPull); a pull is live while its id is in pullWait (the
+	// data's arrival deletes it).
 	var live bool
 	if cr.isRTS {
-		_, live = r.rdvPull[cr.id]
-		live = live && !cr.acked
+		sr, ok := r.rdvPull[cr.id]
+		live = ok && sr.rts == cr
 	} else {
 		_, live = r.pullWait[cr.id]
 	}
@@ -536,8 +554,13 @@ func runCtlRetry(a any) {
 		// a deadlock from Run, which is the honest outcome of a partitioned
 		// network.
 		r.nc.Faults.RetransFails++
+		// A late ack or data must not reach the recycled record.
 		if cr.isRTS {
-			r.rdvPull[cr.id].rts = nil // a late ack must not reach the recycled record
+			r.rdvPull[cr.id].rts = nil
+		} else {
+			pd := r.pullWait[cr.id]
+			pd.pull = nil
+			r.pullWait[cr.id] = pd
 		}
 		r.freeCtlRetry(cr)
 		return
@@ -557,7 +580,9 @@ func runCtlRetry(a any) {
 	m.HdrData = cr.id
 	m.GetLength = cr.size
 	e.C.DeviceSend(now, m)
-	r.backoff()
+	if cr.isRTS {
+		r.backoff()
+	}
 	r.nc.Eng.ScheduleCall(now+cr.timeout(), runCtlRetry, cr)
 }
 

@@ -39,9 +39,14 @@ func (r *rank) isend(now sim.Time, op Op) sim.Time {
 	rts.MatchBits = op.Tag
 	rts.HdrData = id
 	rts.GetLength = op.Size
+	// Name the message before sending (Send would draw the same ID): the
+	// peer's ack echoes it, which tells an answer to this first copy from
+	// one to a resend.
+	first := r.nc.NextID()
+	rts.ID = first
 	coreFree := e.C.HostSend(now, rts)
 	if e.retryOn() {
-		sr.rts = e.armCtlRetry(now, true, id, r, op.Peer, op.Tag, op.Size)
+		sr.rts = e.armCtlRetry(now, true, id, first, r, op.Peer, op.Tag, op.Size)
 	}
 	return coreFree
 }
@@ -115,14 +120,17 @@ func (e *Engine) issuePull(now sim.Time, r *rank, rr *recvReq, src int, tag, pul
 	pull.MatchBits = tag
 	pull.HdrData = pullID
 	pull.GetLength = rr.size
-	r.pullWait[pullID] = pullDest{r: r, rr: rr}
+	first := r.nc.NextID() // echoed by the data, as for the RTS in isend
+	pull.ID = first
 	e.C.DeviceSend(now, pull)
 	// The pull timer also covers a lost (or partially lost) data response:
 	// the id stays in pullWait until the response completes, so the timer
 	// re-issues the pull and the sender streams the data again.
+	var cr *ctlRetry
 	if e.retryOn() {
-		e.armCtlRetry(now, false, pullID, r, src, tag, rr.size)
+		cr = e.armCtlRetry(now, false, pullID, first, r, src, tag, rr.size)
 	}
+	r.pullWait[pullID] = pullDest{r: r, rr: rr, pull: cr}
 }
 
 // progressArrival services one queued arrival once the host can progress
@@ -197,13 +205,11 @@ func (nr *nodeRecv) dispatch(at sim.Time, m *netsim.Message) {
 	switch {
 	case m.Type == netsim.OpAck:
 		// The peer's NIC saw an RTS this rank sent: its timer stops, and the
-		// peer's pull timer drives the exchange from here. Only the ack of
-		// an RTS that was never resent is a valid RTT sample (Karn's rule).
+		// peer's pull timer drives the exchange from here.
 		if sr := r.rdvPull[m.HdrData]; sr != nil && sr.rts != nil {
 			cr := sr.rts
 			sr.rts = nil
-			cr.acked = true
-			if cr.tries == 0 {
+			if m.ReplyTo == cr.first {
 				r.sampleRTT(at - cr.sent)
 			}
 		}
@@ -221,6 +227,7 @@ func (nr *nodeRecv) dispatch(at sim.Time, m *netsim.Message) {
 		data.Dst = m.Src
 		data.Length = m.GetLength
 		data.HdrData = m.HdrData
+		data.ReplyTo = m.ID
 		e.C.DeviceSend(ready, data)
 		if sr != nil {
 			sr.done = true
@@ -232,6 +239,12 @@ func (nr *nodeRecv) dispatch(at sim.Time, m *netsim.Message) {
 		pd, ok := r.pullWait[m.HdrData]
 		if ok {
 			delete(r.pullWait, m.HdrData)
+			// Data answering the pull's first copy is an RTT sample, less
+			// the data's serialization time, which the pull's timer adds on
+			// top of the RTO.
+			if cr := pd.pull; cr != nil && m.ReplyTo == cr.first {
+				r.sampleRTT(at - cr.sent - e.C.P.GBytes(cr.size))
+			}
 			pd.r.completeRecv(at, pd.rr)
 		}
 	case m.GetLength > 0:
@@ -245,6 +258,7 @@ func (nr *nodeRecv) dispatch(at sim.Time, m *netsim.Message) {
 			ack.Src = r.id
 			ack.Dst = m.Src
 			ack.HdrData = m.HdrData
+			ack.ReplyTo = m.ID
 			e.C.DeviceSend(at, ack)
 			// A retransmitted RTS must not match twice: the first copy
 			// already created receive-side state keyed by the same id.

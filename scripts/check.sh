@@ -77,6 +77,10 @@ echo "== recovery under delay (Table 5c, scale 8, loss-free impairments) =="
 # give up nor storm: zero give-ups, fewer retransmits than replayed
 # messages, and under 5% of them under plain jitter.
 go test -count=1 -run 'TestTable5cRecoveryUnderDelay' ./internal/bench
+# Two ranks: a lost ack costs exactly one RTS resend and one match, a
+# receive-only rank adapts its pull timer to a slow path, and at loss=0.25
+# pull timeouts must not hold a rank's RTO at the backoff cap.
+go test -count=1 -run 'TestLostAckResendsRTSOnce|TestOneWayDelayAdaptsPullTimer|TestHeavyLossKeepsTimersOffTheCap' ./internal/mpisim
 # Experiment-level concurrency in spinbench must match serial stdout.
 go test -count=1 -run 'TestSerialVsConcurrentExperimentsByteIdentical' ./cmd/spinbench
 # The shapes above agree with each other; this pins their absolute bytes.
